@@ -203,23 +203,20 @@ class BatchEngine:
         budget: optional shared :class:`~repro.runtime.EvaluationBudget`;
             the deadline is enforced in the parent at dispatch/collection
             and cooperatively inside every worker.
-        compile: evaluate symbolic plans through compiled numpy kernels
-            (default); ``False`` forces the recursive tree walk (the
-            ``--no-compile`` escape hatch).
         solver: linear-solver backend threaded into every compiled plan
             (``"auto"``, ``"dense"`` or ``"sparse"``; see
             :mod:`repro.markov.solvers`).
         incremental: route robust plans' numeric solves through low-rank
             factorization updates (:mod:`repro.markov.updates`) when
             consecutive entries share chain structure.
-        fused: serve each same-fingerprint symbolic group through **one**
-            stacked kernel call in the parent (no per-point Python
-            dispatch, no pool), and move multi-entry robust groups of a
-            process pool onto the shared-memory transport
-            (:mod:`repro.engine.shm`) so workers stop pickling model
-            documents and per-entry results.  Default on; ``False``
-            restores the pure per-point paths (the ``--no-fused`` escape
-            hatch).
+
+    Each multi-entry symbolic group is served by **one** stacked kernel
+    call in the parent (no per-point Python dispatch, no pool); a group
+    whose stacked call raises falls back to per-point evaluation so
+    errors stay per entry.  Multi-entry robust groups of a process pool
+    ride the shared-memory transport (:mod:`repro.engine.shm`) where the
+    platform provides it, so workers stop pickling model documents and
+    per-entry results.
     """
 
     def __init__(
@@ -228,10 +225,8 @@ class BatchEngine:
         mode: str = "process",
         cache: PlanCache | None | bool = None,
         budget: EvaluationBudget | None = None,
-        compile: bool = True,
         solver: str = "auto",
         incremental: bool = False,
-        fused: bool = True,
     ):
         from repro.markov.solvers import validate_solver
 
@@ -248,8 +243,6 @@ class BatchEngine:
         else:
             self.cache = cache
         self.budget = budget
-        self.compile = bool(compile)
-        self.fused = bool(fused)
 
     # -- public API --------------------------------------------------------
 
@@ -286,7 +279,6 @@ class BatchEngine:
 
         serial = self.jobs <= 1 or self.mode == "serial" or len(requests) <= 1
         obs.gauge("batch.jobs", 1 if serial else self.jobs)
-        fused_entries = 0
         with obs.span(
             "batch.run", entries=len(requests), mode=self.mode
         ) as run_span:
@@ -295,9 +287,7 @@ class BatchEngine:
                 BatchEntry(i, r.label, r.service, dict(r.actuals))
                 for i, r in enumerate(requests)
             ]
-            remaining = groups
-            if self.fused:
-                remaining, fused_entries = self._run_fused(groups, entries)
+            remaining, fused_entries = self._run_fused(groups, entries)
             if remaining:
                 left = sum(len(ix) for _, ix in remaining.values())
                 if serial or left <= 1:
@@ -391,7 +381,6 @@ class BatchEngine:
                 stacked = plan.pfail_stack(
                     [entries[i].actuals for i in indices],
                     budget=self.budget,
-                    use_kernel=self.compile,
                 )
             except ReproError:
                 charge_fused(fallbacks=1)
@@ -420,9 +409,7 @@ class BatchEngine:
                 try:
                     if self.budget is not None:
                         self.budget.check_deadline("batch evaluation")
-                    entry.pfail = plan.pfail(
-                        entry.actuals, budget=self.budget, use_kernel=self.compile
-                    )
+                    entry.pfail = plan.pfail(entry.actuals, budget=self.budget)
                 except ReproError as exc:
                     entry.error = exc
                 obs.observe("batch.entry.seconds", time.perf_counter() - t0)
@@ -431,8 +418,7 @@ class BatchEngine:
         """Whether a group should ride the shared-memory transport: heavy
         (robust) plans fanning real work across a process pool."""
         return (
-            self.fused
-            and self.mode == "process"
+            self.mode == "process"
             and not isinstance(plan, ReproError)
             and plan.backend == "robust"
             and len(indices) > 1
@@ -513,7 +499,6 @@ class BatchEngine:
                             "plan": plan,
                             "points": [entries[i].actuals for i in chunk],
                             "deadline": remaining_deadline(self.budget),
-                            "use_kernel": self.compile,
                             "observe": obs.enabled(),
                             "dispatched_at": time.time(),
                         }

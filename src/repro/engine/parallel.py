@@ -51,7 +51,6 @@ __all__ = [
     "fuzz_block",
     "make_executor",
     "numeric_sweep_chunk",
-    "plan_sweep_chunk",
     "rebuild_error",
     "remaining_deadline",
     "reset_clamp_warning",
@@ -383,8 +382,7 @@ def evaluate_plan_points(payload: dict) -> list:
     """Evaluate one compiled plan at many actual-parameter points.
 
     Payload: ``plan`` (:class:`EvaluationPlan`), ``points`` (list of
-    name→value dicts), ``deadline`` (remaining seconds or ``None``),
-    ``use_kernel`` (compiled-kernel evaluation, default on).
+    name→value dicts), ``deadline`` (remaining seconds or ``None``).
     Returns one entry per point: a float ``Pfail`` or a
     :class:`WorkerFailure` (per-point isolation: one bad point does not
     poison the block).
@@ -392,40 +390,15 @@ def evaluate_plan_points(payload: dict) -> list:
     owned = _begin_worker_observation(payload)
     plan = payload["plan"]
     budget = worker_budget(payload.get("deadline"))
-    use_kernel = payload.get("use_kernel", True)
     results: list = []
     for point in payload["points"]:
         t0 = time.perf_counter()
         try:
-            results.append(plan.pfail(point, budget=budget, use_kernel=use_kernel))
+            results.append(plan.pfail(point, budget=budget))
         except ReproError as exc:
             results.append(WorkerFailure.from_error(exc))
         obs.observe("batch.entry.seconds", time.perf_counter() - t0)
     return _ship_worker_observation(results, owned)
-
-
-def plan_sweep_chunk(payload: dict) -> list[float] | WorkerFailure:
-    """Evaluate one grid chunk of a sweep through a compiled plan.
-
-    Payload: ``plan``, ``parameter``, ``values`` (list of floats),
-    ``fixed`` (dict), ``deadline``, ``use_kernel``.
-    """
-    owned = _begin_worker_observation(payload)
-    plan = payload["plan"]
-    budget = worker_budget(payload.get("deadline"))
-    t0 = time.perf_counter()
-    try:
-        result: list[float] | WorkerFailure = list(
-            plan.pfail_grid(
-                payload["parameter"], payload["values"], payload["fixed"],
-                budget=budget,
-                use_kernel=payload.get("use_kernel", True),
-            )
-        )
-    except ReproError as exc:
-        result = WorkerFailure.from_error(exc)
-    obs.observe("batch.entry.seconds", time.perf_counter() - t0)
-    return _ship_worker_observation(result, owned)
 
 
 def numeric_sweep_chunk(payload: dict) -> list[float] | WorkerFailure:

@@ -325,11 +325,13 @@ class EvaluationPlan:
         if self._evaluator is None:
             assembly = load_assembly(self.assembly_json)
             self._evaluator = RobustEvaluator(
-                assembly, budget=budget, solver=self.solver,
-                incremental=self.incremental,
+                assembly, solver=self.solver, incremental=self.incremental,
             )
-        elif budget is not None:
-            self._evaluator.budget = budget
+        # every call brings its own budget (None = unlimited): a pooled
+        # plan must not keep charging the budget of an earlier call
+        self._evaluator.budget = (
+            budget if budget is not None else EvaluationBudget()
+        )
         return self._evaluator
 
     def __repr__(self) -> str:

@@ -393,9 +393,6 @@ def shm_plan_rows(payload: dict) -> dict:
         config = payload["config"]
         plan = _plan_for(attached.doc, config)
         budget = worker_budget(payload.get("deadline"))
-        if plan._evaluator is not None:
-            # pooled reuse: never let a previous chunk's budget linger
-            plan._evaluator.budget = budget
         formals = tuple(config["formals"])
         points = attached.arrays["points"]
         mask = attached.arrays["mask"]

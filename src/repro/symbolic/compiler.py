@@ -26,7 +26,8 @@ This module lowers a tree into an array program once:
    signature* — which parameters are bound to arrays — so executing the
    tape costs one function call per op with zero interpreter bookkeeping.
    Array-valued ops write into preallocated ``out=`` buffers, held
-   thread-locally so kernels are safe under the thread-pooled sweep paths.
+   thread-locally so kernels are safe under the threaded daemon and
+   thread-mode batch pools.
 
 The resulting :class:`CompiledKernel` evaluates identically to
 ``Expression.evaluate`` — same ufuncs applied in the same order, same
@@ -39,8 +40,10 @@ Kernels are memoized in a :class:`KernelCache` (the shared
 :class:`repro.caching.LRUCache` machinery, with hit/miss statistics) keyed
 by the expression itself; the memoized structural hashes on expression
 nodes make those lookups cheap.  A process-wide default cache backs the
-engine plans, the analysis layer, and the CLI (which exposes a
-``--no-compile`` escape hatch).
+engine plans, the analysis layer and the CLI.  Kernels are the only
+evaluation path above :class:`~repro.engine.plan.EvaluationPlan`; the tree
+walk stays reachable through its ``use_kernel=False`` switch, as the
+oracle of the parity tests and the goldens.
 """
 
 from __future__ import annotations

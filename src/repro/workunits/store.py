@@ -90,6 +90,12 @@ def load_state(path: str | Path) -> StoreState:
     with path.open("r", encoding="utf-8") as fh:
         lines = fh.readlines()
     for lineno, line in enumerate(lines):
+        if not line.endswith("\n"):
+            # an unterminated tail is a torn append even when its bytes
+            # parse: the record's write never completed
+            if line.strip():
+                state.skipped_lines += 1
+            continue
         line = line.strip()
         if not line:
             continue
@@ -195,6 +201,14 @@ class ResultStore:
     def _open(self) -> None:
         if self.path is not None and self._fh is None:
             self.path.parent.mkdir(parents=True, exist_ok=True)
+            if self.path.exists() and self.path.stat().st_size:
+                with self.path.open("rb+") as fh:
+                    fh.seek(-1, os.SEEK_END)
+                    if fh.read(1) != b"\n":
+                        # drop the torn tail replay skipped, so the next
+                        # record starts a line of its own
+                        fh.seek(0)
+                        fh.truncate(fh.read().rfind(b"\n") + 1)
             self._fh = self.path.open("a", encoding="utf-8")
 
     def close(self) -> None:

@@ -218,6 +218,18 @@ class TestBudget:
         engine = BatchEngine(budget=EvaluationBudget(deadline=60.0))
         assert engine.evaluate(local_assembly(), "search", POINTS).ok
 
+    def test_pooled_robust_plan_forgets_an_earlier_budget(self):
+        import time
+
+        from repro.engine import compile_plan
+
+        plan = compile_plan(recursive_assembly(), "A")
+        assert plan.backend == "robust"
+        plan.pfail({"size": 4.0}, budget=EvaluationBudget(deadline=1.0))
+        time.sleep(1.1)
+        # an unbudgeted call is unlimited, not bound by the expired deadline
+        assert 0.0 <= plan.pfail({"size": 4.0}) <= 1.0
+
 
 class TestParallel:
     def test_process_pool_matches_serial_exactly(self):

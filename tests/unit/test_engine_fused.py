@@ -9,13 +9,15 @@ Covers the contracts the fused executor adds on top of the batch engine:
   deadlines: a deadline hit mid-grid raises with a partial-progress note,
   never a silently truncated result;
 - ``BatchEngine`` fused-group accounting (``fused_entries``,
-  ``engine.fused.*`` counters) and per-entry error isolation when a
-  poisoned point forces the fallback;
+  ``engine.fused.*`` counters), bitwise agreement with per-point
+  ``plan.pfail`` calls, and per-entry error isolation when a poisoned
+  point forces the fallback;
 - the shared-memory workspace lifecycle: idempotent close, no segment
   leaked even when a worker is SIGKILLed mid-flight;
-- the ``fused`` knob end to end: CLI flags, server request schemas and
-  `/v1/cache-stats`, and work-unit id stability (default-on campaigns
-  hash identically to pre-fused journals).
+- the removed ``fused``/``compile`` options end to end: the CLI flags
+  exit 2, the server request schemas reject the fields, ``/v1/cache-stats``
+  keeps its ``engine.fused`` block, and campaign ids stay pinned so
+  journals written while the options existed keep resuming.
 """
 
 import os
@@ -111,7 +113,7 @@ class TestRobustDeadlines:
 
 
 # ---------------------------------------------------------------------------
-# BatchEngine fused groups: accounting, fallback isolation, escape hatch
+# BatchEngine fused groups: accounting, loop parity, fallback isolation
 # ---------------------------------------------------------------------------
 
 
@@ -133,21 +135,13 @@ class TestEngineFused:
         assert counts["entries"] == 6
         assert counts["fallbacks"] == 0
 
-    def test_no_fused_engine_reports_zero(self, local):
-        reset_fused_counts()
-        engine = BatchEngine(jobs=1, cache=PlanCache(), fused=False)
-        result = engine.evaluate(local, "search", self._points(5))
-        assert result.ok
-        assert result.stats.fused_entries == 0
-        assert fused_counts()["groups"] == 0
-
     def test_fused_and_loop_agree_bitwise(self, local):
         points = self._points(9)
         fused = BatchEngine(jobs=1, cache=PlanCache())
-        loop = BatchEngine(jobs=1, cache=PlanCache(), fused=False)
-        lhs = [e.pfail for e in fused.evaluate(local, "search", points)]
-        rhs = [e.pfail for e in loop.evaluate(local, "search", points)]
-        assert lhs == rhs
+        result = fused.evaluate(local, "search", points)
+        assert result.stats.fused_entries == len(points)
+        plan = compile_plan(local, "search")
+        assert [e.pfail for e in result] == [plan.pfail(p) for p in points]
 
     def test_poisoned_point_falls_back_to_per_entry_isolation(self, local):
         reset_fused_counts()
@@ -241,46 +235,75 @@ class TestShmLifecycle:
 
 
 # ---------------------------------------------------------------------------
-# the fused knob end to end: CLI, server, work units
+# the removed fused/compile options: CLI, server, work units
 # ---------------------------------------------------------------------------
+
+#: Campaign ids measured on ``local_assembly()`` while the ``compile`` and
+#: ``fused`` options still existed; default campaigns must keep them.
+SWEEP_CAMPAIGN_ID = (
+    "c396d7320eb92e541e3a1df40acbbd1c932ee1637e4ba6a5a759c65098d4da4b"
+)
+BATCH_CAMPAIGN_ID = (
+    "9e9137de5a7b09322c92526bfc23f7b6b6e44419a27d32617e3dd9b6c09c3491"
+)
+#: The same batch campaign as written with ``fused=False``.
+NO_FUSED_BATCH_CAMPAIGN_ID = (
+    "4628ff795dea4e8b159b8a1405a37255a1567faead79da1435eb8abe13e5b7fe"
+)
+BATCH_POINTS = [
+    {"elem": 1.0, "list": 500.0, "res": 1.0},
+    {"elem": 1.0, "list": 1000.0, "res": 1.0},
+]
 
 
 class TestFusedKnob:
-    def test_cli_flags_parse(self):
-        from repro.cli import build_parser
+    def test_cli_flags_parse(self, capsys):
+        from repro.cli import build_parser, main
 
-        parser = build_parser()
-        args = parser.parse_args(["batch", "search", "--model", "m.json"])
-        assert args.fused is True
-        args = parser.parse_args(
-            ["batch", "search", "--model", "m.json", "--no-fused"]
-        )
-        assert args.fused is False
-        args = parser.parse_args([
-            "sweep", "m.json", "search", "list",
-            "--from", "1", "--to", "10", "--no-fused",
-        ])
-        assert args.fused is False
+        for command in (
+            ["batch", "search", "--model", "m.json"],
+            ["sweep", "m.json", "search", "list", "--from", "1", "--to", "10"],
+        ):
+            args = build_parser().parse_args(command)
+            assert not hasattr(args, "fused")
+            assert not hasattr(args, "no_compile")
+            for flag in ("--no-compile", "--no-fused", "--fused"):
+                with pytest.raises(SystemExit) as excinfo:
+                    main(command + [flag])
+                assert excinfo.value.code == 2
+                assert flag in capsys.readouterr().err
 
-    def test_server_schema_accepts_fused(self):
-        from repro.server.schema import (
-            BATCH_REQUEST,
-            SWEEP_REQUEST,
-            schema_problems,
-        )
+    def test_server_schema_rejects_removed_fields(self, local):
+        from repro.dsl.serializer import assembly_to_dict
+        from repro.errors import RequestValidationError
+        from repro.server import EvaluationService, http_status_for
 
-        body = {
-            "requests": [{"model": {}, "service": "s"}],
-            "fused": False,
+        model = assembly_to_dict(local)
+        service = EvaluationService()
+        bodies = {
+            service.evaluate: {
+                "model": model, "service": "search",
+                "actuals": BATCH_POINTS[0],
+            },
+            service.batch: {
+                "requests": [{"model": model, "service": "search",
+                              "actuals": BATCH_POINTS[0]}],
+            },
+            service.sweep: {
+                "model": model, "service": "search", "parameter": "list",
+                "start": 1, "stop": 10, "fixed": {"elem": 1, "res": 1},
+            },
         }
-        assert schema_problems(body, BATCH_REQUEST) == []
-        body = {
-            "model": {}, "service": "s", "parameter": "p",
-            "start": 0, "stop": 1, "fused": True,
-        }
-        assert schema_problems(body, SWEEP_REQUEST) == []
-        body["fused"] = "yes"
-        assert schema_problems(body, SWEEP_REQUEST) != []
+        for endpoint, body in bodies.items():
+            endpoint(body)  # the body is valid without the fields
+            for field in ("compile", "fused"):
+                with pytest.raises(RequestValidationError) as excinfo:
+                    endpoint({**body, field: True})
+                assert http_status_for(excinfo.value) == 400
+                assert any(
+                    f"unexpected key {field!r}" in problem
+                    for problem in excinfo.value.problems
+                )
 
     def test_cache_stats_carries_engine_fused_block(self):
         from repro.server.service import EvaluationService
@@ -290,27 +313,45 @@ class TestFusedKnob:
         assert set(fused) >= {"groups", "entries", "fallbacks", "shm"}
         assert set(fused["shm"]) == {"segments", "rows"}
 
-    def test_workunit_ids_stable_under_default_fused(self, local):
-        # absence-means-enabled hashing: a default-on campaign must
-        # produce the exact unit ids a pre-fused journal recorded
-        from repro.workunits import batch_campaign
+    def test_campaign_ids_pinned_across_option_removal(self, local):
+        from repro.workunits import batch_campaign, sweep_campaign
 
-        points = [
-            {"elem": 1.0, "res": 1.0, "list": float(v)} for v in (1, 2, 3)
-        ]
-        models = [("local", local)]
-        default = batch_campaign(models, "search", points, units=2)
-        explicit = batch_campaign(
-            models, "search", points, units=2, fused=True
+        sweep = sweep_campaign(
+            local, "search", "list", [100.0, 200.0, 300.0, 400.0],
+            {"elem": 1.0, "res": 1.0}, units=2,
         )
-        assert [u.unit_id for u in default.units] == [
-            u.unit_id for u in explicit.units
-        ]
-        assert default.campaign_id == explicit.campaign_id
-        disabled = batch_campaign(
-            models, "search", points, units=2, fused=False
+        assert sweep.campaign_id == SWEEP_CAMPAIGN_ID
+        batch = batch_campaign(
+            [("local", local)], "search", BATCH_POINTS, units=2
         )
-        assert disabled.campaign_id != default.campaign_id
-        assert all(
-            u.config.get("fused") is False for u in disabled.units
+        assert batch.campaign_id == BATCH_CAMPAIGN_ID
+
+    def test_resuming_a_no_fused_journal_fails_loudly(self, local, tmp_path):
+        from repro.errors import CampaignStoreError
+        from repro.workunits import (
+            Campaign,
+            ResultStore,
+            WorkUnit,
+            batch_campaign,
+            run_campaign,
         )
+
+        current = batch_campaign(
+            [("local", local)], "search", BATCH_POINTS, units=2
+        )
+        # rebuild the campaign a ``fused=False`` run journaled
+        old = Campaign(
+            current.kind,
+            tuple(
+                WorkUnit(u.kind, u.index, u.fingerprint,
+                         {**u.config, "fused": False}, u.payload)
+                for u in current.units
+            ),
+            {**current.config, "fused": False},
+        )
+        assert old.campaign_id == NO_FUSED_BATCH_CAMPAIGN_ID
+        journal = tmp_path / "old.jsonl"
+        store, _ = ResultStore.for_campaign(journal, old)
+        store.close()
+        with pytest.raises(CampaignStoreError):
+            run_campaign(current, journal)

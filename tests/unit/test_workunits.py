@@ -192,6 +192,27 @@ class TestStore:
         assert state.skipped_lines == 1
         assert state.results == {campaign.units[0].unit_id: [1.0]}
 
+    def test_unterminated_tail_is_torn_and_resume_starts_a_new_line(
+        self, tmp_path
+    ):
+        # the crash hit between a record's bytes and its newline: the
+        # record parses, but its write never completed
+        campaign = sweep20()
+        first, second = (u.unit_id for u in campaign.units[:2])
+        path = tmp_path / "s.jsonl"
+        store, _ = ResultStore.for_campaign(path, campaign)
+        store.record_attempt(first, 1, "done", elapsed=0.1, result=[1.0])
+        store.close()
+        path.write_bytes(path.read_bytes()[:-1])
+        state = load_state(path)
+        assert state.skipped_lines == 1
+        assert state.results == {}
+        store, _ = ResultStore.for_campaign(path, campaign)
+        store.record_attempt(second, 1, "done", elapsed=0.1, result=[2.0])
+        store.close()
+        state = load_state(path)
+        assert state.results == {second: [2.0]}
+
     def test_missing_file_is_empty_state(self, tmp_path):
         state = load_state(tmp_path / "absent.jsonl")
         assert state.header is None and not state.results
