@@ -18,10 +18,10 @@ Four claims of the engine layer are measured on a Figure-6-style workload
   (models × points) workload through one ``pfail_stack`` kernel call per
   model vs today's python loop over ``plan.pfail`` — bitwise-equal
   results, >= 10x per point.
-- **shared-memory transport** for the sparse-solver batch workload
-  (``recursive_assembly``, robust backend): ``jobs=2`` must win >= 1.5x
-  over ``jobs=1``, best of five interleaved rounds each — asserted only
-  on runners with >= 2 CPUs.
+- **the process pool** on the sparse-solver batch workload
+  (``recursive_assembly``, robust backend; ``-k parallel_batch``):
+  ``jobs=2`` must win >= 1.5x over ``jobs=1``, best of five interleaved
+  rounds each — asserted only on runners with >= 2 CPUs.
 
 Everything lands in machine-readable form in
 ``benchmarks/results/BENCH_engine.json`` (see docs/performance_guide.md
@@ -361,27 +361,27 @@ def test_fused_stack():
         )
 
 
-def test_fused_shm_batch():
-    """PERF — the shared-memory transport on the sparse-solver batch
-    workload (robust backend, per-row solves dominate): jobs=2 vs jobs=1,
-    best of ``rounds`` interleaved calls each.
+def test_parallel_batch():
+    """PERF — the process pool on the sparse-solver batch workload (robust
+    backend, per-row solves dominate): jobs=2 vs jobs=1, best of
+    ``rounds`` interleaved calls each.
 
     The >= 1.5x bar is asserted only on runners with >= 2 CPUs; below
-    that the engine clamps jobs to 1 and the section is advisory.
+    that the engine clamps jobs to 1 and the section is advisory.  One
+    extra, untimed jobs=2 run with observability on proves the workers
+    served every entry: their ``batch.entry.seconds`` observations are
+    merged into the parent's registry.
     """
-    from repro.engine import shm
+    from repro import observability as obs
 
     cpu_count = os.cpu_count() or 1
     assembly = recursive_assembly()
     points = [{"size": float(1 + (i % 8))} for i in range(32)]
     rounds = 5
 
-    rows_before = shm.shm_counts()["rows"]
     contenders = []
     for jobs in (1, 2):
-        engine = BatchEngine(
-            jobs=jobs, cache=PlanCache(), solver="sparse", mode="process"
-        )
+        engine = BatchEngine(jobs=jobs, cache=PlanCache(), solver="sparse")
         assert engine.evaluate(assembly, "A", points[:2]).ok  # warm plan
 
         def run(engine=engine):
@@ -392,14 +392,24 @@ def test_fused_shm_batch():
     seconds = _interleaved_best(
         contenders, repeats=1, rounds=rounds, samples=samples
     )
-    shm_rows = shm.shm_counts()["rows"] - rows_before
+
+    obs.reset()
+    obs.enable()
+    try:
+        contenders[1][1]()  # untimed jobs=2 run
+        histogram = obs.registry().snapshot()["histograms"].get(
+            "batch.entry.seconds", {}
+        )
+    finally:
+        obs.reset()
+    worker_entries = histogram.get("count", 0)
 
     section = {
         "cpu_count": cpu_count,
         "advisory": cpu_count < 2,
         "entries": len(points),
         "solver": "sparse",
-        "shm_rows": shm_rows,
+        "worker_entries": worker_entries,
         "rounds": rounds,
         "batch_seconds": seconds,
         # (max - min) / min of each configuration's rounds
@@ -410,16 +420,16 @@ def test_fused_shm_batch():
         "round_seconds": samples,
         "speedup": seconds["jobs1"] / seconds["jobs2"],
     }
-    _merge_engine_json("fused_shm_batch", section)
+    _merge_engine_json("parallel_batch", section)
     emit(
-        "PERF_SHM",
-        "PERF/shm — sparse-solver batch via shared-memory transport, "
+        "PERF_PARALLEL",
+        "PERF/parallel — sparse-solver batch via the process pool, "
         f"best of {rounds} interleaved rounds: "
         f"jobs=1 {seconds['jobs1']:.3f}s, jobs=2 {seconds['jobs2']:.3f}s "
-        f"(speedup {section['speedup']:.2f}x, {shm_rows} shm rows, "
-        f"{cpu_count} core(s))",
+        f"(speedup {section['speedup']:.2f}x, {worker_entries} entries "
+        f"served by workers, {cpu_count} core(s))",
     )
 
     if not section["advisory"]:
-        assert shm_rows >= len(points), section  # transport actually used
+        assert worker_entries == len(points), section  # workers served all
         assert section["speedup"] >= 1.5, section

@@ -109,7 +109,7 @@ def _collect_chunks(chunk_results: list) -> np.ndarray:
 def _fused_symbolic(plan, parameter, grid, fixed, budget) -> np.ndarray:
     """One vectorized kernel pass over the whole grid, in-process.
 
-    For the numpy-vectorized symbolic backend this beats any thread
+    For the numpy-vectorized symbolic backend this beats any pool
     fan-out: one straight-line tape execution over the full grid has no
     per-chunk dispatch, no futures, no chunk re-concatenation.
     """
@@ -124,19 +124,18 @@ def _parallel_numeric(
     assembly, service, parameter, grid, fixed, jobs, budget, solver="auto",
     incremental=False,
 ) -> np.ndarray:
+    from concurrent.futures.process import BrokenProcessPool
+
     from repro.engine.fingerprint import canonical_json
     from repro.engine.parallel import (
+        broken_pool_error,
         make_executor,
         numeric_sweep_chunk,
         remaining_deadline,
         split_evenly,
     )
 
-    from concurrent.futures.process import BrokenProcessPool
-
-    from repro.engine.parallel import broken_pool_error
-
-    executor = make_executor(jobs, "process")
+    executor = make_executor(jobs)
     assembly_json = canonical_json(assembly)
     chunks = split_evenly(list(grid), jobs)
     with executor:
@@ -171,85 +170,6 @@ def _parallel_numeric(
         return _collect_chunks(collected)
 
 
-def _parallel_numeric_shm(
-    assembly, service, parameter, grid, fixed, jobs, budget, solver="auto",
-    incremental=False,
-) -> np.ndarray:
-    """Numeric grid fan-out over the zero-pickle shared-memory transport.
-
-    Workers read the model document out of a shared segment (parsed once
-    per worker process, cached by content digest) and write result rows
-    in place; only typed failures travel back through the futures.  The
-    parent owns every segment and reclaims them even when the pool
-    breaks; rows still unset after a crash identify the affected grid
-    indices exactly.
-    """
-    from concurrent.futures.process import BrokenProcessPool
-
-    from repro.engine import shm
-    from repro.engine.fingerprint import canonical_json
-    from repro.engine.parallel import (
-        broken_pool_error,
-        make_executor,
-        rebuild_error,
-        remaining_deadline,
-        split_evenly,
-        unpack_worker_payload,
-    )
-
-    executor = make_executor(jobs, "process")
-    n = int(grid.size)
-    workspace = shm.ShmWorkspace.create(
-        canonical_json(assembly).encode("utf-8"),
-        {
-            "values": ((n,), "float64"),
-            "results": ((n,), "float64"),
-            "status": ((n,), "uint8"),
-        },
-    )
-    try:
-        workspace.array("values")[:] = grid
-        shm._charge(rows=n)
-        config = {
-            "service": service,
-            "parameter": parameter,
-            "fixed": dict(fixed),
-            "solver": solver,
-            "incremental": incremental,
-        }
-        spec = workspace.spec()
-        with executor:
-            futures = [
-                executor.submit(
-                    shm.shm_numeric_sweep_rows,
-                    {
-                        "spec": spec,
-                        "config": config,
-                        "start": rows[0],
-                        "stop": rows[-1] + 1,
-                        "deadline": remaining_deadline(budget),
-                        "observe": obs.enabled(),
-                        "dispatched_at": time.time(),
-                    },
-                )
-                for rows in split_evenly(list(range(n)), jobs)
-            ]
-            try:
-                for future in futures:
-                    failures = unpack_worker_payload(future.result())
-                    if failures:
-                        raise rebuild_error(next(iter(failures.values())))
-            except BrokenProcessPool as exc:
-                status = workspace.array("status")
-                affected = [i for i in range(n) if status[i] == shm.ROW_UNSET]
-                raise broken_pool_error(
-                    "numeric sweep evaluation", affected, exc
-                ) from exc
-        return workspace.array("results").copy()
-    finally:
-        workspace.close()
-
-
 def sweep_parameter(
     assembly: Assembly,
     service: str,
@@ -275,9 +195,7 @@ def sweep_parameter(
             whole grid) or ``"numeric"`` (per-point recursive evaluation).
         jobs: worker count for a numeric grid — 1 (default) evaluates in
             process, 0 uses every core, ``N > 1`` fans the grid across
-            ``N`` worker processes, over the zero-pickle shared-memory
-            transport (:mod:`repro.engine.shm`) where the platform
-            provides it.  The symbolic method ignores it.
+            ``N`` worker processes.  The symbolic method ignores it.
         cache: optional :class:`~repro.engine.PlanCache`; the closed-form
             derivation is fetched from / stored into it, so repeated
             sweeps of the same model re-derive nothing.
@@ -319,18 +237,10 @@ def sweep_parameter(
             pfail = _fused_symbolic(plan, parameter, grid, fixed, budget)
         elif method == "numeric":
             if jobs > 1:
-                from repro.engine import shm as _shm
-
-                if _shm.available():
-                    pfail = _parallel_numeric_shm(
-                        assembly, service, parameter, grid, fixed, jobs,
-                        budget, solver=solver, incremental=incremental,
-                    )
-                else:
-                    pfail = _parallel_numeric(
-                        assembly, service, parameter, grid, fixed, jobs,
-                        budget, solver=solver, incremental=incremental,
-                    )
+                pfail = _parallel_numeric(
+                    assembly, service, parameter, grid, fixed, jobs,
+                    budget, solver=solver, incremental=incremental,
+                )
             else:
                 evaluator = ReliabilityEvaluator(
                     assembly, check_domains=False, budget=budget,

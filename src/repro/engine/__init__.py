@@ -16,13 +16,9 @@ Modules:
   once, evaluated at any number of points, shippable to worker processes.
 - :mod:`repro.engine.cache` — the thread-safe, LRU-bounded
   :class:`PlanCache` with hit/miss statistics.
-- :mod:`repro.engine.parallel` — executor plumbing, picklable worker
-  functions, and cooperative :class:`~repro.runtime.EvaluationBudget`
-  enforcement across workers.
-- :mod:`repro.engine.shm` — the zero-pickle shared-memory transport for
-  heavy (robust/Monte-Carlo) workloads: model documents and result rows
-  travel through ``multiprocessing.shared_memory`` segments owned (and
-  always reclaimed) by the parent.
+- :mod:`repro.engine.parallel` — the process-pool plumbing every fan-out
+  shares, picklable worker functions, and cooperative
+  :class:`~repro.runtime.EvaluationBudget` enforcement across workers.
 - :mod:`repro.engine.batch` — the :class:`BatchEngine` façade tying it
   together, with per-entry error isolation and fused stacked-kernel
   execution of same-fingerprint symbolic groups.
@@ -54,6 +50,7 @@ from repro.engine.parallel import (
     make_executor,
     reset_fused_counts,
     resolve_jobs,
+    shm_counts,
     split_evenly,
 )
 from repro.engine.plan import (
@@ -62,7 +59,6 @@ from repro.engine.plan import (
     compile_plan,
     reset_counters,
 )
-from repro.engine.shm import ShmWorkspace, reset_shm_counts, shm_counts
 
 __all__ = [
     "BatchEngine",
@@ -73,7 +69,6 @@ __all__ = [
     "CacheStats",
     "EvaluationPlan",
     "PlanCache",
-    "ShmWorkspace",
     "assembly_fingerprint",
     "canonical_json",
     "compilation_count",
@@ -84,7 +79,6 @@ __all__ = [
     "plan_key",
     "reset_counters",
     "reset_fused_counts",
-    "reset_shm_counts",
     "resolve_jobs",
     "service_fingerprint",
     "shm_counts",

@@ -37,7 +37,6 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 
 from repro import observability as obs
-from repro.engine import shm
 from repro.engine.cache import PlanCache
 from repro.engine.parallel import (
     WorkerFailure,
@@ -191,11 +190,8 @@ class BatchEngine:
 
     Args:
         jobs: worker count — 1 (default) runs serially in-process, 0 means
-            one worker per CPU core, ``N > 1`` fans out across ``N``
-            workers (see ``mode``).
-        mode: ``"process"`` (default; true CPU parallelism — plans are
-            pickled to workers), ``"thread"`` (cheaper startup, suits the
-            numpy-vectorized symbolic backend), or ``"serial"``.
+            one worker per CPU core, ``N > 1`` fans out across a pool of
+            ``N`` worker processes (plans are pickled to the workers).
         cache: a :class:`~repro.engine.cache.PlanCache` to reuse plans
             across runs, ``None`` for a private per-engine cache, or
             ``False`` to disable caching (every point recompiles — the
@@ -213,16 +209,13 @@ class BatchEngine:
     Each multi-entry symbolic group is served by **one** stacked kernel
     call in the parent (no per-point Python dispatch, no pool); a group
     whose stacked call raises falls back to per-point evaluation so
-    errors stay per entry.  Multi-entry robust groups of a process pool
-    ride the shared-memory transport (:mod:`repro.engine.shm`) where the
-    platform provides it, so workers stop pickling model documents and
-    per-entry results.
+    errors stay per entry.  Only what is left — robust groups and the
+    groups the stacked call handed back — fans out across the pool.
     """
 
     def __init__(
         self,
         jobs: int | None = 1,
-        mode: str = "process",
         cache: PlanCache | None | bool = None,
         budget: EvaluationBudget | None = None,
         solver: str = "auto",
@@ -233,9 +226,6 @@ class BatchEngine:
         self.jobs = resolve_jobs(jobs)
         self.solver = validate_solver(solver)
         self.incremental = bool(incremental)
-        if mode not in ("process", "thread", "serial"):
-            raise EvaluationError(f"unknown executor mode {mode!r}")
-        self.mode = mode
         if cache is False:
             self.cache = None
         elif cache is None or cache is True:
@@ -277,11 +267,9 @@ class BatchEngine:
         hits_before = self.cache.stats.hits if self.cache else 0
         misses_before = self.cache.stats.misses if self.cache else 0
 
-        serial = self.jobs <= 1 or self.mode == "serial" or len(requests) <= 1
+        serial = self.jobs <= 1 or len(requests) <= 1
         obs.gauge("batch.jobs", 1 if serial else self.jobs)
-        with obs.span(
-            "batch.run", entries=len(requests), mode=self.mode
-        ) as run_span:
+        with obs.span("batch.run", entries=len(requests)) as run_span:
             groups = self._compile_groups(requests)
             entries = [
                 BatchEntry(i, r.label, r.service, dict(r.actuals))
@@ -414,85 +402,15 @@ class BatchEngine:
                     entry.error = exc
                 obs.observe("batch.entry.seconds", time.perf_counter() - t0)
 
-    def _use_shm(self, plan, indices) -> bool:
-        """Whether a group should ride the shared-memory transport: heavy
-        (robust) plans fanning real work across a process pool."""
-        return (
-            self.mode == "process"
-            and not isinstance(plan, ReproError)
-            and plan.backend == "robust"
-            and len(indices) > 1
-            and shm.available()
-        )
-
-    def _submit_shm(self, executor, futures, plan, indices, entries, workspaces):
-        """Lay out one shared workspace for a robust group and fan its
-        rows across the pool — workers read the model document and write
-        result rows in place; nothing heavy is pickled."""
-        formals = plan.formals
-        n, k = len(indices), max(1, len(formals))
-        workspace = shm.ShmWorkspace.create(
-            plan.assembly_json.encode("utf-8"),
-            {
-                "points": ((n, k), "float64"),
-                "mask": ((n, k), "uint8"),
-                "results": ((n,), "float64"),
-                "status": ((n,), "uint8"),
-            },
-        )
-        workspaces.append(workspace)
-        points = workspace.array("points")
-        mask = workspace.array("mask")
-        for row, index in enumerate(indices):
-            actuals = entries[index].actuals
-            for column, name in enumerate(formals):
-                if name in actuals:
-                    points[row, column] = float(actuals[name])
-                    mask[row, column] = 1
-        shm._charge(rows=n)
-        config = {
-            "service": plan.service,
-            "fingerprint": plan.fingerprint,
-            "formals": list(formals),
-            "solver": plan.solver,
-            "incremental": plan.incremental,
-        }
-        spec = workspace.spec()
-        for rows in split_evenly(list(range(n)), self.jobs):
-            payload = {
-                "spec": spec,
-                "config": config,
-                "start": rows[0],
-                "stop": rows[-1] + 1,
-                "deadline": remaining_deadline(self.budget),
-                "observe": obs.enabled(),
-                "dispatched_at": time.time(),
-            }
-            futures[executor.submit(shm.shm_plan_rows, payload)] = (
-                "shm",
-                plan,
-                indices[rows[0]:rows[-1] + 1],
-                workspace,
-                rows[0],
-            )
-
     def _run_parallel(self, groups, entries: list[BatchEntry]) -> None:
-        executor = make_executor(self.jobs, self.mode)
-        if executor is None:  # pragma: no cover - guarded by caller
-            return self._run_serial(groups, entries)
+        executor = make_executor(self.jobs)
         futures = {}
-        workspaces: list = []
         try:
             with executor:
                 for plan, indices in groups.values():
                     if isinstance(plan, ReproError):
                         for index in indices:
                             entries[index].error = plan
-                        continue
-                    if self._use_shm(plan, indices):
-                        self._submit_shm(
-                            executor, futures, plan, indices, entries, workspaces
-                        )
                         continue
                     for chunk in split_evenly(indices, self.jobs):
                         payload = {
@@ -503,7 +421,6 @@ class BatchEngine:
                             "dispatched_at": time.time(),
                         }
                         futures[executor.submit(evaluate_plan_points, payload)] = (
-                            "points",
                             plan,
                             chunk,
                         )
@@ -514,21 +431,7 @@ class BatchEngine:
                         if self.budget is not None:
                             self.budget.check_deadline("batch collection")
                         for future in done:
-                            tag = futures[future]
-                            if tag[0] == "shm":
-                                _, plan, chunk, workspace, start = tag
-                                failures = unpack_worker_payload(future.result())
-                                results = workspace.array("results")
-                                for offset, index in enumerate(chunk):
-                                    entry = entries[index]
-                                    entry.backend = plan.backend
-                                    failure = failures.get(start + offset)
-                                    if failure is not None:
-                                        entry.error = rebuild_error(failure)
-                                    else:
-                                        entry.pfail = float(results[start + offset])
-                                continue
-                            _, plan, chunk = tag
+                            plan, chunk = futures[future]
                             outcomes = unpack_worker_payload(future.result())
                             for index, outcome in zip(chunk, outcomes):
                                 entry = entries[index]
@@ -548,5 +451,3 @@ class BatchEngine:
         finally:
             for future in futures:
                 future.cancel()
-            for workspace in workspaces:
-                workspace.close()

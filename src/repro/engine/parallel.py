@@ -7,9 +7,8 @@ importable from a fresh worker process:
 
 - **executor selection** (:func:`resolve_jobs`, :func:`make_executor`):
   ``jobs <= 1`` short-circuits to the serial path (no pool, no pickling);
-  ``mode="process"`` gives true CPU parallelism for the pure-Python solve
-  paths; ``mode="thread"`` suits the numpy-vectorized symbolic backend and
-  avoids process spin-up on small grids;
+  anything else is a :class:`~concurrent.futures.ProcessPoolExecutor`,
+  the one transport every fan-out uses (payloads travel by pickle);
 - **module-level worker functions** (process pools can only call picklable
   top-level callables) that receive plain-data payloads: compiled
   :class:`~repro.engine.plan.EvaluationPlan` objects, canonical assembly
@@ -30,7 +29,7 @@ import os
 import threading
 import time
 import warnings
-from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import repro.errors as _errors
@@ -56,6 +55,7 @@ __all__ = [
     "reset_clamp_warning",
     "reset_fused_counts",
     "resolve_jobs",
+    "shm_counts",
     "simulate_block",
     "split_evenly",
     "unpack_worker_payload",
@@ -87,6 +87,13 @@ def reset_fused_counts() -> None:
     with _fused_lock:
         for key in _fused:
             _fused[key] = 0
+
+
+def shm_counts() -> dict:
+    """Always ``{"segments": 0, "rows": 0}``: no work travels through
+    shared memory.  Kept only because the repository benchmark's parallel
+    probe still reads it; it goes when the benchmark drops that probe."""
+    return {"segments": 0, "rows": 0}
 
 
 def charge_fused(groups: int = 0, entries: int = 0, fallbacks: int = 0) -> None:
@@ -185,20 +192,11 @@ def resolve_jobs(jobs: int | None) -> int:
     return resolved
 
 
-def make_executor(jobs: int, mode: str = "process") -> Executor | None:
-    """An executor for ``jobs`` workers, or ``None`` for the serial path.
-
-    Args:
-        jobs: resolved worker count (see :func:`resolve_jobs`).
-        mode: ``"process"`` (CPU-bound pure-Python work), ``"thread"``
-            (numpy-vectorized or I/O-bound work), or ``"serial"``.
-    """
-    if mode not in ("process", "thread", "serial"):
-        raise EvaluationError(f"unknown executor mode {mode!r}")
-    if jobs <= 1 or mode == "serial":
+def make_executor(jobs: int) -> ProcessPoolExecutor | None:
+    """A process pool of ``jobs`` workers, or ``None`` for the serial path
+    (``jobs <= 1``; ``jobs`` is a count resolved by :func:`resolve_jobs`)."""
+    if jobs <= 1:
         return None
-    if mode == "thread":
-        return ThreadPoolExecutor(max_workers=jobs)
     return ProcessPoolExecutor(max_workers=jobs)
 
 
@@ -328,14 +326,17 @@ def _begin_worker_observation(payload: dict) -> bool:
     """Start a private collection scope in this worker, if asked to.
 
     Returns True when this call owns a scope whose data must be shipped
-    back.  In ``mode="thread"`` pools the parent's scope is already live in
-    this process, so data lands in the shared registry directly and nothing
-    needs shipping (returns False).
+    back.  A call made in the process whose collection is live (the
+    work-unit supervisor's ``mode="inline"`` path) records into that
+    scope directly and ships nothing (returns False).  A forked worker
+    inherits the parent's enabled flag along with a private copy of its
+    registry, so the flag alone does not tell the two apart: the pid that
+    enabled collection does.
     """
     if not payload.get("observe"):
         return False
-    if obs.enabled():
-        return False  # thread pool: parent scope collects directly
+    if obs.enabled_pid() == os.getpid():
+        return False  # in-process call: the live scope collects directly
     obs.reset()
     obs.enable()
     dispatched = payload.get("dispatched_at")

@@ -39,6 +39,7 @@ Enable with :func:`enable` (optionally passing hooks), read with
 
 from __future__ import annotations
 
+import os
 import threading
 
 from repro.observability.hooks import Hook, InMemorySink, JsonlSink, SummarySink
@@ -68,6 +69,7 @@ __all__ = [
     "disable",
     "enable",
     "enabled",
+    "enabled_pid",
     "gauge",
     "observe",
     "registry",
@@ -78,6 +80,7 @@ __all__ = [
 
 _lock = threading.Lock()
 _enabled = False
+_enabled_pid: int | None = None
 _registry = MetricsRegistry()
 _tracer = Tracer()
 
@@ -85,6 +88,16 @@ _tracer = Tracer()
 def enabled() -> bool:
     """True while metrics/tracing collection is on in this process."""
     return _enabled
+
+
+def enabled_pid() -> int | None:
+    """The pid of the process that turned collection on, or ``None``.
+
+    A forked worker inherits :func:`enabled` from its parent; comparing
+    this with ``os.getpid()`` tells whether the live scope is this
+    process's own or an inherited copy nobody will read.
+    """
+    return _enabled_pid if _enabled else None
 
 
 def enable(
@@ -99,7 +112,7 @@ def enable(
         tracer: use this tracer (default: keep/create the global one).
         hooks: extra :class:`Hook` objects appended to the active tracer.
     """
-    global _enabled, _registry, _tracer
+    global _enabled, _enabled_pid, _registry, _tracer
     with _lock:
         if registry is not None:
             _registry = registry
@@ -109,6 +122,7 @@ def enable(
             if hook not in _tracer.hooks:
                 _tracer.hooks.append(hook)
         _enabled = True
+        _enabled_pid = os.getpid()
     return _registry, _tracer
 
 

@@ -223,7 +223,9 @@ class Tracer:
 
         Root spans of the incoming batch are re-parented under ``parent``
         (default: this thread's current span), so a worker's sub-tree hangs
-        off the dispatching span in the joined trace.  Returns the number
+        off the dispatching span in the joined trace.  Hooks see every
+        incoming span start and end, as if it had run here (a ``--trace``
+        file therefore holds the workers' spans too).  Returns the number
         of spans adopted.
         """
         if parent is None:
@@ -231,6 +233,7 @@ class Tracer:
         parent_id = parent.span_id if parent is not None else None
         incoming_ids = {r.get("span_id") for r in records}
         adopted = 0
+        spans = []
         with self._lock:
             for record in records:
                 span = Span.__new__(Span)
@@ -248,9 +251,14 @@ class Tracer:
                 span.tags = dict(record.get("tags", {}))
                 span._t0 = 0.0
                 span._cpu0 = 0.0
+                spans.append(span)
                 if len(self.finished) < self.max_spans:
                     self.finished.append(span)
                     adopted += 1
                 else:
                     self.dropped += 1
+        for span in spans:
+            for hook in self.hooks:
+                hook.on_span_start(span)
+                hook.on_span_end(span)
         return adopted

@@ -302,7 +302,7 @@ class FuzzHarness:
             unpack_worker_payload,
         )
 
-        executor = make_executor(jobs, "process")
+        executor = make_executor(jobs)
         cases: list[FuzzCase] = []
         shards = split_evenly(mutations, jobs)
         with executor:

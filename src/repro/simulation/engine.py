@@ -259,7 +259,7 @@ class MonteCarloSimulator:
         sizes = [base + (1 if i < extra else 0) for i in range(blocks)]
         seeds = np.random.SeedSequence(self._seed).spawn(blocks)
         assembly_json = canonical_json(self.assembly)
-        executor = make_executor(jobs, "process")
+        executor = make_executor(jobs)
         total_trials = total_failures = 0
         with executor:
             futures = [

@@ -234,18 +234,11 @@ class TestBudget:
 class TestParallel:
     def test_process_pool_matches_serial_exactly(self):
         serial = BatchEngine(jobs=1).evaluate(local_assembly(), "search", POINTS)
-        parallel = BatchEngine(jobs=2, mode="process").evaluate(
+        parallel = BatchEngine(jobs=2).evaluate(
             local_assembly(), "search", POINTS
         )
         assert parallel.ok
         assert parallel.pfails() == serial.pfails()
-
-    def test_thread_pool_matches_serial_exactly(self):
-        serial = BatchEngine(jobs=1).evaluate(local_assembly(), "search", POINTS)
-        threaded = BatchEngine(jobs=2, mode="thread").evaluate(
-            local_assembly(), "search", POINTS
-        )
-        assert threaded.pfails() == serial.pfails()
 
     def test_parallel_error_isolation_survives_pickling(self):
         points = [dict(POINTS[0]), {"elem": 1.0, "list": float("nan"), "res": 1.0},
@@ -255,5 +248,7 @@ class TestParallel:
         assert isinstance(result.failures[0].error, ReproError)
 
     def test_unknown_mode_rejected(self):
-        with pytest.raises(EvaluationError):
-            BatchEngine(mode="fibers")
+        # the executor mode is gone: every mode, known or not, is unknown
+        for mode in ("fibers", "process", "thread", "serial"):
+            with pytest.raises(TypeError):
+                BatchEngine(mode=mode)

@@ -1,4 +1,4 @@
-"""The fused execution path: stacked kernels, counters, shm lifecycle.
+"""The fused execution path: stacked kernels, counters, the process pool.
 
 Covers the contracts the fused executor adds on top of the batch engine:
 
@@ -12,14 +12,17 @@ Covers the contracts the fused executor adds on top of the batch engine:
   ``engine.fused.*`` counters), bitwise agreement with per-point
   ``plan.pfail`` calls, and per-entry error isolation when a poisoned
   point forces the fallback;
-- the shared-memory workspace lifecycle: idempotent close, no segment
-  leaked even when a worker is SIGKILLed mid-flight;
+- the process pool that serves what fusion leaves (robust groups):
+  bitwise parity with serial, per-entry error isolation, and a typed
+  :class:`~repro.errors.WorkerCrashedError` naming exactly the unserved
+  entries when a worker is SIGKILLed mid-batch;
 - the removed ``fused``/``compile`` options end to end: the CLI flags
   exit 2, the server request schemas reject the fields, ``/v1/cache-stats``
   keeps its ``engine.fused`` block, and campaign ids stay pinned so
   journals written while the options existed keep resuming.
 """
 
+import multiprocessing
 import os
 import signal
 
@@ -28,14 +31,13 @@ import pytest
 
 from repro.engine import (
     BatchEngine,
+    BatchRequest,
     PlanCache,
     fused_counts,
     reset_fused_counts,
-    shm_counts,
 )
-from repro.engine import shm
-from repro.engine.plan import compile_plan
-from repro.errors import BudgetExceededError
+from repro.engine.plan import EvaluationPlan, compile_plan
+from repro.errors import BudgetExceededError, ReproError, WorkerCrashedError
 from repro.runtime.budget import EvaluationBudget
 from repro.scenarios import local_assembly, recursive_assembly
 
@@ -160,7 +162,7 @@ class TestEngineFused:
 
 
 # ---------------------------------------------------------------------------
-# shared-memory workspace lifecycle (tentpole (b) + satellite 6)
+# the process pool: what fusion leaves (robust groups) fans out by pickling
 # ---------------------------------------------------------------------------
 
 
@@ -168,70 +170,78 @@ def _kill_self():  # pragma: no cover - dies by design
     os.kill(os.getpid(), signal.SIGKILL)
 
 
-@pytest.mark.skipif(not shm.available(), reason="no shared-memory support")
-class TestShmLifecycle:
-    def _segments(self, workspace):
-        names = [workspace.spec()["doc"]["name"]]
-        names += [
-            spec[0] for spec in workspace.spec()["arrays"].values()
-        ]
-        return [name.lstrip("/") for name in names]
+#: A robust point no real batch uses; the patched ``pfail`` dies on it.
+SENTINEL_SIZE = 7777.0
 
-    def test_roundtrip_and_idempotent_close(self):
-        before = shm_counts()["segments"]
-        workspace = shm.ShmWorkspace.create(
-            b"{}", {"results": ((4,), "float64"), "status": ((4,), "uint8")}
-        )
-        names = self._segments(workspace)
-        try:
-            workspace.array("results")[:] = [1.0, 2.0, 3.0, 4.0]
-            attached = shm._Attached(workspace.spec())
-            assert attached.doc == b"{}"
-            assert np.array_equal(
-                attached.arrays["results"], [1.0, 2.0, 3.0, 4.0]
-            )
-            attached.close()
-        finally:
-            workspace.close()
-            workspace.close()  # idempotent
-        assert shm_counts()["segments"] == before + len(names)
-        for name in names:
-            assert not os.path.exists(f"/dev/shm/{name}")
 
-    def test_no_leak_when_worker_is_sigkilled(self):
-        from concurrent.futures import ProcessPoolExecutor
-        from concurrent.futures.process import BrokenProcessPool
-
-        workspace = shm.ShmWorkspace.create(
-            b"{}", {"results": ((2,), "float64")}
-        )
-        names = self._segments(workspace)
-        executor = ProcessPoolExecutor(max_workers=1)
-        try:
-            with pytest.raises(BrokenProcessPool):
-                executor.submit(_kill_self).result(timeout=30)
-        finally:
-            executor.shutdown(wait=True)
-            workspace.close()
-        for name in names:
-            assert not os.path.exists(f"/dev/shm/{name}")
-
-    def test_parallel_shm_batch_matches_serial(self, monkeypatch):
-        # this box may have one core; the engine clamps jobs to the cpu
-        # count, so pretend there are enough to exercise the shm path
+class TestProcessPool:
+    @pytest.fixture(autouse=True)
+    def _two_workers(self, monkeypatch):
+        # the engine clamps jobs to the cpu count; pretend there are
+        # enough cores for jobs=2 to build a real pool on any runner
         monkeypatch.setattr(os, "cpu_count", lambda: 4)
-        assembly = recursive_assembly()
+
+    def _robust(self, engine, points):
+        return engine.evaluate(recursive_assembly(), "A", points)
+
+    def test_robust_batch_matches_serial_bitwise(self):
         points = [{"size": float(1 + (i % 5))} for i in range(8)]
-        serial = BatchEngine(jobs=1, cache=PlanCache(), solver="sparse")
-        expected = [e.pfail for e in serial.evaluate(assembly, "A", points)]
-        rows_before = shm_counts()["rows"]
-        engine = BatchEngine(
-            jobs=2, cache=PlanCache(), solver="sparse", mode="process"
+        serial = self._robust(
+            BatchEngine(jobs=1, cache=PlanCache(), solver="sparse"), points
         )
-        result = engine.evaluate(assembly, "A", points)
-        assert result.ok
-        assert [e.pfail for e in result] == expected
-        assert shm_counts()["rows"] - rows_before == len(points)
+        parallel = self._robust(
+            BatchEngine(jobs=2, cache=PlanCache(), solver="sparse"), points
+        )
+        assert parallel.ok
+        assert parallel.stats.fused_entries == 0  # robust: served by the pool
+        assert parallel.pfails() == serial.pfails()
+
+    def test_bad_point_in_robust_group_fails_alone(self):
+        points = [{"size": float(v)} for v in (1, 2, -1, 3, 4)]
+        serial = self._robust(BatchEngine(jobs=1, cache=PlanCache()), points)
+        parallel = self._robust(BatchEngine(jobs=2, cache=PlanCache()), points)
+        assert [e.ok for e in parallel] == [True, True, False, True, True]
+        error = parallel.entries[2].error
+        assert isinstance(error, ReproError)
+        assert "outside domain" in str(error)
+        good = [i for i in range(len(points)) if i != 2]
+        assert [parallel.entries[i].pfail for i in good] == [
+            serial.entries[i].pfail for i in good
+        ]
+
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="the patched pfail reaches workers only through fork",
+    )
+    def test_sigkilled_worker_names_the_unserved_entries(
+        self, monkeypatch, local
+    ):
+        original = EvaluationPlan.pfail
+
+        def pfail(plan, actuals=None, **kwargs):
+            if (actuals or {}).get("size") == SENTINEL_SIZE:
+                _kill_self()
+            return original(plan, actuals, **kwargs)
+
+        monkeypatch.setattr(EvaluationPlan, "pfail", pfail)
+        recursive = recursive_assembly()
+        symbolic = {"elem": 1.0, "res": 1.0}
+        requests = [
+            # a fused symbolic group: served in the parent, before the pool
+            BatchRequest(local, "search", {**symbolic, "list": 10.0}),
+            BatchRequest(local, "search", {**symbolic, "list": 20.0}),
+            # a robust group split into two chunks, each of which serves
+            # one point and then dies on the sentinel
+            BatchRequest(recursive, "A", {"size": 1.0}),
+            BatchRequest(recursive, "A", {"size": SENTINEL_SIZE}),
+            BatchRequest(recursive, "A", {"size": 2.0}),
+            BatchRequest(recursive, "A", {"size": SENTINEL_SIZE}),
+        ]
+        engine = BatchEngine(jobs=2, cache=PlanCache())
+        with pytest.raises(WorkerCrashedError) as excinfo:
+            engine.run(requests)
+        assert excinfo.value.indices == (2, 3, 4, 5)
+        assert "affected entry indices: [2, 3, 4, 5]" in str(excinfo.value)
 
 
 # ---------------------------------------------------------------------------
@@ -310,8 +320,7 @@ class TestFusedKnob:
 
         stats = EvaluationService().cache_stats()
         fused = stats["engine"]["fused"]
-        assert set(fused) >= {"groups", "entries", "fallbacks", "shm"}
-        assert set(fused["shm"]) == {"segments", "rows"}
+        assert set(fused) == {"groups", "entries", "fallbacks"}
 
     def test_campaign_ids_pinned_across_option_removal(self, local):
         from repro.workunits import batch_campaign, sweep_campaign

@@ -220,6 +220,18 @@ class TestTracer:
             == by_name["worker.outer"].span_id
         )
 
+    def test_merge_notifies_hooks_of_every_incoming_span(self):
+        worker = Tracer()
+        with worker.span("w.outer"), worker.span("w.inner"):
+            pass
+        sink = InMemorySink()
+        parent = Tracer(hooks=[sink], max_spans=1)
+        parent.merge(worker.export())
+        # hooks see both spans, including the one retention dropped
+        assert [s.name for s in sink.spans] == ["w.inner", "w.outer"]
+        assert sink.open_spans == 0
+        assert parent.dropped == 1
+
     def test_merge_without_open_span_keeps_roots(self):
         worker = Tracer()
         with worker.span("w"):
@@ -393,7 +405,7 @@ class TestWorkerObservation:
         assert not _begin_worker_observation({"observe": False})
         assert not obs.enabled()
 
-    def test_thread_mode_does_not_clobber_parent_scope(self):
+    def test_in_process_call_keeps_parent_scope(self):
         from repro.engine.parallel import (
             _begin_worker_observation,
             _ship_worker_observation,
@@ -401,12 +413,37 @@ class TestWorkerObservation:
 
         obs.enable()
         obs.count("pre.existing")
-        # thread-pool worker: obs already enabled in-process -> no private
-        # scope, results pass through unwrapped, parent data survives
+        # a worker function called in the process that enabled collection
+        # (the supervisor's inline mode): no private scope, results pass
+        # through unwrapped, parent data survives
         owned = _begin_worker_observation({"observe": True})
         assert not owned
         assert _ship_worker_observation([1.0], owned) == [1.0]
         assert obs.registry().snapshot()["counters"] == {"pre.existing": 1}
+
+    def test_forked_worker_opens_its_own_scope(self, monkeypatch):
+        import os
+
+        from repro.engine.parallel import _begin_worker_observation
+
+        obs.enable()
+        obs.count("parent.only")
+        # a forked worker inherits the enabled flag and a copy of the
+        # parent's registry, but runs under a different pid
+        parent = os.getpid()
+        monkeypatch.setattr(os, "getpid", lambda: parent + 1)
+        assert _begin_worker_observation({"observe": True})
+        assert obs.registry().snapshot()["counters"] == {}
+        assert obs.enabled_pid() == parent + 1
+
+    def test_enabled_pid_tracks_the_enabling_process(self):
+        import os
+
+        assert obs.enabled_pid() is None
+        obs.enable()
+        assert obs.enabled_pid() == os.getpid()
+        obs.disable()
+        assert obs.enabled_pid() is None
 
     def test_unpack_passes_plain_results_through(self):
         from repro.engine.parallel import unpack_worker_payload
@@ -414,3 +451,56 @@ class TestWorkerObservation:
         assert unpack_worker_payload([1.0, 2.0]) == [1.0, 2.0]
         failure_list = ["anything"]
         assert unpack_worker_payload(failure_list) is failure_list
+
+
+# -- worker metrics and spans reach the parent at jobs > 1 ------------------
+
+
+class TestParallelObservation:
+    """Fork-started workers inherit the parent's enabled flag; what they
+    record must still be shipped back and merged exactly once."""
+
+    @pytest.fixture(autouse=True)
+    def _two_workers(self, monkeypatch):
+        import os
+
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+
+    def test_robust_batch_at_jobs2_ships_worker_metrics(self):
+        from repro.engine import BatchEngine, PlanCache
+        from repro.scenarios import recursive_assembly
+
+        points = [{"size": float(v)} for v in (1, 2, 3, 4, 5, 6)]
+        obs.enable()
+        result = BatchEngine(jobs=2, cache=PlanCache()).evaluate(
+            recursive_assembly(), "A", points
+        )
+        assert result.ok
+        snapshot = obs.registry().snapshot()
+        entries = snapshot["histograms"]["batch.entry.seconds"]
+        assert entries["count"] == len(points)
+        assert any(
+            name.startswith("solver.") and value > 0
+            for name, value in snapshot["counters"].items()
+        )
+
+    def test_numeric_sweep_at_jobs2_ships_worker_spans(self, local):
+        import numpy as np
+
+        from repro.analysis import sweep_parameter
+
+        sink = InMemorySink()
+        obs.enable(hooks=[sink])
+        grid = np.linspace(100.0, 2000.0, 40)
+        sweep_parameter(
+            local, "search", "list", grid, {"elem": 1.0, "res": 1.0},
+            method="numeric", jobs=2,
+        )
+        pfail_spans = [
+            s for s in obs.tracer().finished if s.name == "evaluator.pfail"
+        ]
+        assert len(pfail_spans) == len(grid)
+        assert len({s.span_id for s in pfail_spans}) == len(grid)
+        assert sum(s.name == "evaluator.pfail" for s in sink.spans) == len(grid)
+        counters = obs.registry().snapshot()["counters"]
+        assert counters.get("solver.factorizations", 0) > 0
