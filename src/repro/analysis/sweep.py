@@ -27,7 +27,6 @@ Sweeps plug into the engine layer two ways:
 
 from __future__ import annotations
 
-import time
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 
@@ -89,23 +88,6 @@ def _validated_grid(values: Sequence[float] | np.ndarray) -> np.ndarray:
     return grid
 
 
-def _collect_chunks(chunk_results: list) -> np.ndarray:
-    """Concatenate ordered chunk outputs, rehydrating worker failures."""
-    from repro.engine.parallel import (
-        WorkerFailure,
-        rebuild_error,
-        unpack_worker_payload,
-    )
-
-    out: list[float] = []
-    for result in chunk_results:
-        result = unpack_worker_payload(result)
-        if isinstance(result, WorkerFailure):
-            raise rebuild_error(result)
-        out.extend(result)
-    return np.asarray(out, dtype=float)
-
-
 def _fused_symbolic(plan, parameter, grid, fixed, budget) -> np.ndarray:
     """One vectorized kernel pass over the whole grid, in-process.
 
@@ -124,50 +106,27 @@ def _parallel_numeric(
     assembly, service, parameter, grid, fixed, jobs, budget, solver="auto",
     incremental=False,
 ) -> np.ndarray:
-    from concurrent.futures.process import BrokenProcessPool
-
     from repro.engine.fingerprint import canonical_json
-    from repro.engine.parallel import (
-        broken_pool_error,
-        make_executor,
-        numeric_sweep_chunk,
-        remaining_deadline,
-        split_evenly,
-    )
+    from repro.engine.parallel import fan_out, numeric_sweep_chunk, split_evenly
 
-    executor = make_executor(jobs)
     assembly_json = canonical_json(assembly)
-    chunks = split_evenly(list(grid), jobs)
-    with executor:
-        futures = [
-            executor.submit(
-                numeric_sweep_chunk,
-                {
-                    "assembly_json": assembly_json,
-                    "service": service,
-                    "parameter": parameter,
-                    "values": chunk,
-                    "fixed": dict(fixed),
-                    "deadline": remaining_deadline(budget),
-                    "solver": solver,
-                    "incremental": incremental,
-                    "observe": obs.enabled(),
-                    "dispatched_at": time.time(),
-                },
-            )
-            for chunk in chunks
-        ]
-        collected: list = []
-        try:
-            for future in futures:
-                collected.append(future.result())
-        except BrokenProcessPool as exc:
-            # grid indices whose chunk results were not collected yet
-            start = sum(len(chunk) for chunk in chunks[:len(collected)])
-            raise broken_pool_error(
-                "numeric sweep evaluation", range(start, len(grid)), exc
-            ) from exc
-        return _collect_chunks(collected)
+    tasks = [
+        (chunk, {
+            "assembly_json": assembly_json,
+            "service": service,
+            "parameter": parameter,
+            "values": [grid[i] for i in chunk],
+            "fixed": dict(fixed),
+            "solver": solver,
+            "incremental": incremental,
+        })
+        for chunk in split_evenly(list(range(grid.size)), jobs)
+    ]
+    chunks = fan_out(
+        numeric_sweep_chunk, tasks, jobs=jobs,
+        what="numeric sweep evaluation", budget=budget,
+    )
+    return np.asarray([v for chunk in chunks for v in chunk], dtype=float)
 
 
 def sweep_parameter(
@@ -194,8 +153,11 @@ def sweep_parameter(
         method: ``"symbolic"`` (one stacked kernel execution over the
             whole grid) or ``"numeric"`` (per-point recursive evaluation).
         jobs: worker count for a numeric grid — 1 (default) evaluates in
-            process, 0 uses every core, ``N > 1`` fans the grid across
-            ``N`` worker processes.  The symbolic method ignores it.
+            process, 0 uses every core, ``N > 1`` fans contiguous grid
+            chunks across ``N`` BLAS-pinned worker processes through
+            :func:`~repro.engine.parallel.fan_out` (a dead worker raises
+            :class:`~repro.errors.WorkerCrashedError` naming the lost grid
+            indices).  The symbolic method ignores it.
         cache: optional :class:`~repro.engine.PlanCache`; the closed-form
             derivation is fetched from / stored into it, so repeated
             sweeps of the same model re-derive nothing.

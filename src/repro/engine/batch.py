@@ -32,23 +32,18 @@ from __future__ import annotations
 
 import time
 from collections.abc import Mapping, Sequence
-from concurrent.futures import FIRST_COMPLETED, wait
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 
 from repro import observability as obs
 from repro.engine.cache import PlanCache
 from repro.engine.parallel import (
     WorkerFailure,
-    broken_pool_error,
     charge_fused,
     evaluate_plan_points,
-    make_executor,
+    fan_out,
     rebuild_error,
-    remaining_deadline,
     resolve_jobs,
     split_evenly,
-    unpack_worker_payload,
 )
 from repro.engine.plan import EvaluationPlan, compile_plan, compilation_count
 from repro.errors import EvaluationError, ReproError
@@ -191,7 +186,11 @@ class BatchEngine:
     Args:
         jobs: worker count — 1 (default) runs serially in-process, 0 means
             one worker per CPU core, ``N > 1`` fans out across a pool of
-            ``N`` worker processes (plans are pickled to the workers).
+            ``N`` BLAS-pinned worker processes through
+            :func:`~repro.engine.parallel.fan_out` (plans are pickled to
+            the workers; a dead worker raises
+            :class:`~repro.errors.WorkerCrashedError` naming the entries
+            it lost).
         cache: a :class:`~repro.engine.cache.PlanCache` to reuse plans
             across runs, ``None`` for a private per-engine cache, or
             ``False`` to disable caching (every point recompiles — the
@@ -403,51 +402,24 @@ class BatchEngine:
                 obs.observe("batch.entry.seconds", time.perf_counter() - t0)
 
     def _run_parallel(self, groups, entries: list[BatchEntry]) -> None:
-        executor = make_executor(self.jobs)
-        futures = {}
-        try:
-            with executor:
-                for plan, indices in groups.values():
-                    if isinstance(plan, ReproError):
-                        for index in indices:
-                            entries[index].error = plan
-                        continue
-                    for chunk in split_evenly(indices, self.jobs):
-                        payload = {
-                            "plan": plan,
-                            "points": [entries[i].actuals for i in chunk],
-                            "deadline": remaining_deadline(self.budget),
-                            "observe": obs.enabled(),
-                            "dispatched_at": time.time(),
-                        }
-                        futures[executor.submit(evaluate_plan_points, payload)] = (
-                            plan,
-                            chunk,
-                        )
-                pending = set(futures)
-                try:
-                    while pending:
-                        done, pending = wait(pending, return_when=FIRST_COMPLETED)
-                        if self.budget is not None:
-                            self.budget.check_deadline("batch collection")
-                        for future in done:
-                            plan, chunk = futures[future]
-                            outcomes = unpack_worker_payload(future.result())
-                            for index, outcome in zip(chunk, outcomes):
-                                entry = entries[index]
-                                entry.backend = plan.backend
-                                if isinstance(outcome, WorkerFailure):
-                                    entry.error = rebuild_error(outcome)
-                                else:
-                                    entry.pfail = float(outcome)
-                except BrokenProcessPool as exc:
-                    affected = [
-                        e.index for e in entries
-                        if e.pfail is None and e.error is None
-                    ]
-                    raise broken_pool_error(
-                        "batch evaluation", affected, exc
-                    ) from exc
-        finally:
-            for future in futures:
-                future.cancel()
+        tasks = []
+        for plan, indices in groups.values():
+            if isinstance(plan, ReproError):
+                for index in indices:
+                    entries[index].error = plan
+                continue
+            for chunk in split_evenly(indices, self.jobs):
+                points = [entries[i].actuals for i in chunk]
+                tasks.append((chunk, {"plan": plan, "points": points}))
+        outcomes = fan_out(
+            evaluate_plan_points, tasks, jobs=self.jobs,
+            what="batch evaluation", budget=self.budget,
+        )
+        for (chunk, payload), results in zip(tasks, outcomes):
+            for index, outcome in zip(chunk, results):
+                entry = entries[index]
+                entry.backend = payload["plan"].backend
+                if isinstance(outcome, WorkerFailure):
+                    entry.error = rebuild_error(outcome)
+                else:
+                    entry.pfail = float(outcome)

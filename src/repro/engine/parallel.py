@@ -1,14 +1,19 @@
-"""Worker-pool plumbing: executors, picklable workers, budget cooperation.
+"""Worker-pool plumbing: the one fan-out loop, picklable workers, budgets.
 
 The batch engine fans independent work units — plan evaluations, sweep
 chunks, Monte-Carlo trial blocks, fuzz cases — across a
-:mod:`concurrent.futures` pool.  This module holds everything that must be
-importable from a fresh worker process:
+:mod:`concurrent.futures` process pool.  This module holds all of it:
 
-- **executor selection** (:func:`resolve_jobs`, :func:`make_executor`):
-  ``jobs <= 1`` short-circuits to the serial path (no pool, no pickling);
-  anything else is a :class:`~concurrent.futures.ProcessPoolExecutor`,
-  the one transport every fan-out uses (payloads travel by pickle);
+- **pool construction** (:func:`resolve_jobs`, :func:`process_pool`,
+  :func:`make_executor`): ``jobs <= 1`` short-circuits to the serial path
+  (no pool, no pickling); anything else is a
+  :class:`~concurrent.futures.ProcessPoolExecutor` whose workers are pinned
+  to one BLAS thread (:func:`pin_blas_threads`), the one transport every
+  fan-out uses (payloads travel by pickle);
+- **the fan-out loop** (:func:`fan_out`): submit, collect in completion
+  order, enforce the parent deadline, rebuild worker failures and map a
+  dead pool to :class:`~repro.errors.WorkerCrashedError` — the only code
+  outside the work-unit supervisor that drives a pool;
 - **module-level worker functions** (process pools can only call picklable
   top-level callables) that receive plain-data payloads: compiled
   :class:`~repro.engine.plan.EvaluationPlan` objects, canonical assembly
@@ -25,11 +30,14 @@ importable from a fresh worker process:
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import os
 import threading
 import time
 import warnings
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 
 import repro.errors as _errors
@@ -38,18 +46,21 @@ from repro.errors import (
     BudgetExceededError,
     EvaluationError,
     ReproError,
+    WorkerCrashedError,
     error_chain,
 )
 from repro.runtime.budget import EvaluationBudget
 
 __all__ = [
     "WorkerFailure",
-    "broken_pool_error",
     "evaluate_plan_points",
+    "fan_out",
     "fused_counts",
     "fuzz_block",
     "make_executor",
     "numeric_sweep_chunk",
+    "pin_blas_threads",
+    "process_pool",
     "rebuild_error",
     "remaining_deadline",
     "reset_clamp_warning",
@@ -192,12 +203,65 @@ def resolve_jobs(jobs: int | None) -> int:
     return resolved
 
 
+#: Thread setters an OpenBLAS build may export, tried in order on each
+#: loaded library: numpy's wheel ships ``scipy_openblas64_``, scipy's
+#: ``scipy_openblas``, a system build plain ``openblas``.
+_OPENBLAS_SETTERS = (
+    "scipy_openblas_set_num_threads64_",
+    "scipy_openblas_set_num_threads",
+    "openblas_set_num_threads64_",
+    "openblas_set_num_threads",
+)
+
+
+def pin_blas_threads() -> None:
+    """Pool initializer: one BLAS thread per worker process.
+
+    ``jobs`` CPU-bound workers each running a core-sized OpenBLAS thread
+    pool oversubscribe the machine (the default solver's robust batch ran
+    at half its serial speed at ``jobs=2``).  A library the worker loads
+    later reads the environment variables; one already mapped into the
+    process (inherited through ``fork``, or imported while unpickling this
+    initializer) is set through its exported setter.  Without OpenBLAS
+    this does nothing.
+    """
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    os.environ["OMP_NUM_THREADS"] = "1"
+    try:
+        with open("/proc/self/maps") as maps:
+            paths = {
+                line.split()[-1] for line in maps
+                if "openblas" in line.lower() and ".so" in line
+            }
+    except OSError:
+        return
+    for path in sorted(paths):
+        try:
+            library = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for symbol in _OPENBLAS_SETTERS:
+            setter = getattr(library, symbol, None)
+            if setter is not None:
+                setter.argtypes = [ctypes.c_int]
+                setter.restype = None
+                setter(1)
+                break
+
+
+def process_pool(workers: int) -> ProcessPoolExecutor:
+    """A process pool of ``workers`` BLAS-pinned workers — the one pool
+    constructor (the work-unit supervisor builds even ``workers=1`` pools
+    through it, for isolation)."""
+    return ProcessPoolExecutor(max_workers=workers, initializer=pin_blas_threads)
+
+
 def make_executor(jobs: int) -> ProcessPoolExecutor | None:
     """A process pool of ``jobs`` workers, or ``None`` for the serial path
     (``jobs <= 1``; ``jobs`` is a count resolved by :func:`resolve_jobs`)."""
     if jobs <= 1:
         return None
-    return ProcessPoolExecutor(max_workers=jobs)
+    return process_pool(jobs)
 
 
 def remaining_deadline(budget: EvaluationBudget | None) -> float | None:
@@ -217,27 +281,6 @@ def worker_budget(deadline: float | None, **limits) -> EvaluationBudget | None:
     if deadline is None and not any(v is not None for v in limits.values()):
         return None
     return EvaluationBudget(deadline=deadline, **limits)
-
-
-def broken_pool_error(
-    what: str, indices, cause: BaseException
-) -> "ReproError":
-    """Map a raw :class:`BrokenProcessPool` into the typed taxonomy.
-
-    A worker killed hard (SIGKILL, OOM, native crash) breaks the whole
-    pool: every pending ``future.result()`` raises
-    ``concurrent.futures.process.BrokenProcessPool``, which is not a
-    :class:`ReproError` and would escape as a traceback.  Collection loops
-    catch it and raise the returned
-    :class:`~repro.errors.WorkerCrashedError` instead, carrying the
-    indices of the entries whose results were lost.
-    """
-    from repro.errors import WorkerCrashedError
-
-    obs.count("engine.worker_crashes")
-    error = WorkerCrashedError(what, indices)
-    error.__cause__ = cause
-    return error
 
 
 # ---------------------------------------------------------------------------
@@ -374,11 +417,109 @@ def unpack_worker_payload(outcome):
     return outcome
 
 
+def observed_worker(worker):
+    """Open the worker-side observation scope a payload asks for around
+    ``worker`` and ship its metrics/spans back with the results.
+
+    The wrapper keeps the worker's module and name, so the decorated
+    function still pickles by name.
+    """
+
+    @functools.wraps(worker)
+    def run(payload: dict):
+        owned = _begin_worker_observation(payload)
+        return _ship_worker_observation(worker(payload), owned)
+
+    return run
+
+
+# ---------------------------------------------------------------------------
+# the fan-out loop
+# ---------------------------------------------------------------------------
+
+
+def fan_out(
+    worker,
+    tasks: list,
+    *,
+    jobs: int,
+    what: str,
+    budget: EvaluationBudget | None = None,
+) -> list:
+    """Run ``worker`` over ``tasks`` on a fresh pool; outcomes in task order.
+
+    Each task is ``(indices, payload)``: ``payload`` is the worker's plain
+    dict argument, ``indices`` the caller's item indices it covers (batch
+    entries, grid points, trial blocks, fuzz cases).  Every payload is
+    stamped with ``observe``/``dispatched_at``, and with the ``deadline``
+    left on ``budget`` when one is given (without a budget a payload keeps
+    its own ``deadline``).  Results are collected as they complete, and
+    the parent's deadline is checked between completions.
+
+    Failures, whatever ``jobs`` is:
+
+    - an outcome that is a :class:`WorkerFailure` is rebuilt and raised
+      for the earliest such task, once every task before it is in;
+    - a dead pool raises :class:`~repro.errors.WorkerCrashedError` naming
+      the indices of every task not collected yet;
+    - any raise cancels the tasks not started yet.
+    """
+    if not tasks:
+        return []
+    outcomes: dict[int, object] = {}
+    first_failure = len(tasks)
+    executor = process_pool(min(jobs, len(tasks)))
+    try:
+        futures = {}
+        for position, (_, payload) in enumerate(tasks):
+            payload = {
+                **payload, "observe": obs.enabled(), "dispatched_at": time.time(),
+            }
+            if budget is not None:
+                payload["deadline"] = remaining_deadline(budget)
+            futures[executor.submit(worker, payload)] = position
+        pending = set(futures)
+        while pending:
+            done, pending = wait(pending, return_when=FIRST_COMPLETED)
+            if budget is not None:
+                budget.check_deadline(what)
+            crash = None
+            for future in done:
+                try:
+                    outcome = unpack_worker_payload(future.result())
+                except BrokenProcessPool as exc:
+                    crash = exc
+                    continue
+                position = futures[future]
+                outcomes[position] = outcome
+                if isinstance(outcome, WorkerFailure):
+                    first_failure = min(first_failure, position)
+            if crash is not None:
+                # a worker killed hard (SIGKILL, OOM, native crash) breaks
+                # the whole pool; name what was lost in the typed taxonomy
+                obs.count("engine.worker_crashes")
+                lost = [
+                    index
+                    for position, (indices, _) in enumerate(tasks)
+                    if position not in outcomes
+                    for index in indices
+                ]
+                raise WorkerCrashedError(what, lost) from crash
+            if first_failure < len(tasks) and all(
+                position in outcomes for position in range(first_failure)
+            ):
+                raise rebuild_error(outcomes[first_failure])
+    finally:
+        executor.shutdown(wait=True, cancel_futures=True)
+    return [outcomes[position] for position in range(len(tasks))]
+
+
 # ---------------------------------------------------------------------------
 # worker functions (must stay module-level: process pools pickle by name)
 # ---------------------------------------------------------------------------
 
 
+@observed_worker
 def evaluate_plan_points(payload: dict) -> list:
     """Evaluate one compiled plan at many actual-parameter points.
 
@@ -388,7 +529,6 @@ def evaluate_plan_points(payload: dict) -> list:
     :class:`WorkerFailure` (per-point isolation: one bad point does not
     poison the block).
     """
-    owned = _begin_worker_observation(payload)
     plan = payload["plan"]
     budget = worker_budget(payload.get("deadline"))
     results: list = []
@@ -399,9 +539,10 @@ def evaluate_plan_points(payload: dict) -> list:
         except ReproError as exc:
             results.append(WorkerFailure.from_error(exc))
         obs.observe("batch.entry.seconds", time.perf_counter() - t0)
-    return _ship_worker_observation(results, owned)
+    return results
 
 
+@observed_worker
 def numeric_sweep_chunk(payload: dict) -> list[float] | WorkerFailure:
     """Evaluate one grid chunk through the recursive numeric evaluator.
 
@@ -413,7 +554,6 @@ def numeric_sweep_chunk(payload: dict) -> list[float] | WorkerFailure:
     from repro.core.evaluator import ReliabilityEvaluator
     from repro.dsl import load_assembly
 
-    owned = _begin_worker_observation(payload)
     budget = worker_budget(payload.get("deadline"))
     t0 = time.perf_counter()
     try:
@@ -434,9 +574,10 @@ def numeric_sweep_chunk(payload: dict) -> list[float] | WorkerFailure:
     except ReproError as exc:
         result = WorkerFailure.from_error(exc)
     obs.observe("batch.entry.seconds", time.perf_counter() - t0)
-    return _ship_worker_observation(result, owned)
+    return result
 
 
+@observed_worker
 def simulate_block(payload: dict) -> tuple[int, int] | WorkerFailure:
     """Run one Monte-Carlo trial block; returns ``(trials, failures)``.
 
@@ -447,7 +588,6 @@ def simulate_block(payload: dict) -> tuple[int, int] | WorkerFailure:
     from repro.dsl import load_assembly
     from repro.simulation.engine import MonteCarloSimulator
 
-    owned = _begin_worker_observation(payload)
     budget = worker_budget(payload.get("deadline"))
     t0 = time.perf_counter()
     try:
@@ -464,9 +604,10 @@ def simulate_block(payload: dict) -> tuple[int, int] | WorkerFailure:
     except ReproError as exc:
         result = WorkerFailure.from_error(exc)
     obs.observe("batch.entry.seconds", time.perf_counter() - t0)
-    return _ship_worker_observation(result, owned)
+    return result
 
 
+@observed_worker
 def fuzz_block(payload: dict) -> list:
     """Run a block of fuzz cases; returns the list of ``FuzzCase`` records.
 
@@ -478,7 +619,6 @@ def fuzz_block(payload: dict) -> list:
     """
     from repro.robustness.harness import run_fuzz_case
 
-    owned = _begin_worker_observation(payload)
     results = []
     for index, mutation in payload["cases"]:
         t0 = time.perf_counter()
@@ -494,4 +634,4 @@ def fuzz_block(payload: dict) -> list:
             )
         )
         obs.observe("batch.entry.seconds", time.perf_counter() - t0)
-    return _ship_worker_observation(results, owned)
+    return results

@@ -135,16 +135,23 @@ class EvaluationPlan:
 
         self.solver = validate_solver(solver)
         self.incremental = bool(incremental)
-        self._evaluator = None  # per-process, rebuilt after pickling
+        # robust evaluators carry the call's budget and warm numeric
+        # tiers: one per thread, so threads sharing a cached plan never
+        # evaluate under each other's budget
+        self._local = threading.local()
         self._kernel_obj = None  # lazy CompiledKernel, rebuilt after pickling
 
     # -- pickling ----------------------------------------------------------
 
     def __getstate__(self) -> dict:
         state = self.__dict__.copy()
-        state["_evaluator"] = None  # evaluators hold live assemblies
+        del state["_local"]  # evaluators hold live assemblies
         state["_kernel_obj"] = None  # kernels hold thread-local buffers
         return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._local = threading.local()
 
     # -- evaluation --------------------------------------------------------
 
@@ -322,17 +329,16 @@ class EvaluationPlan:
         from repro.dsl import load_assembly
         from repro.runtime.robust import RobustEvaluator
 
-        if self._evaluator is None:
-            assembly = load_assembly(self.assembly_json)
-            self._evaluator = RobustEvaluator(
-                assembly, solver=self.solver, incremental=self.incremental,
+        evaluator = getattr(self._local, "evaluator", None)
+        if evaluator is None:
+            evaluator = self._local.evaluator = RobustEvaluator(
+                load_assembly(self.assembly_json),
+                solver=self.solver, incremental=self.incremental,
             )
         # every call brings its own budget (None = unlimited): a pooled
         # plan must not keep charging the budget of an earlier call
-        self._evaluator.budget = (
-            budget if budget is not None else EvaluationBudget()
-        )
-        return self._evaluator
+        evaluator.budget = budget if budget is not None else EvaluationBudget()
+        return evaluator
 
     def __repr__(self) -> str:
         return (

@@ -256,8 +256,8 @@ class BudgetExceededError(ReproError):
 class WorkerCrashedError(EvaluationError):
     """A pool worker process died without reporting back.
 
-    Raised where a raw :class:`concurrent.futures.process.BrokenProcessPool`
-    would otherwise escape the engine: a worker was killed hard (SIGKILL,
+    Raised where the executor's raw broken-pool error would otherwise
+    escape the engine: a worker was killed hard (SIGKILL,
     the kernel OOM killer, a segfault in a native library) and its pending
     results are gone.  ``indices`` carries the positions of the affected
     work entries (batch entry indices, grid-point indices, fuzz case

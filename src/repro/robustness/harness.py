@@ -266,10 +266,13 @@ class FuzzHarness:
 
         With ``jobs > 1`` the mutations are still generated here, in
         order (so the corpus is identical regardless of worker count),
-        then sharded across a process pool; cases land in the report in
-        index order either way, and each case's simulation seed depends
-        only on its index, so classification matches the serial run
-        exactly.
+        then sharded into contiguous blocks across a process pool
+        (:func:`~repro.engine.parallel.fan_out`; each case keeps its own
+        ``deadline``); cases land in the report in index order either
+        way, and each case's simulation seed depends only on its index,
+        so classification matches the serial run exactly.  A dead worker
+        raises :class:`~repro.errors.WorkerCrashedError` naming the lost
+        case indices.
         """
         from repro.engine.parallel import resolve_jobs
 
@@ -292,48 +295,18 @@ class FuzzHarness:
         return report
 
     def _run_parallel(self, mutations: list, jobs: int) -> list[FuzzCase]:
-        from concurrent.futures.process import BrokenProcessPool
+        from repro.engine.parallel import fan_out, fuzz_block, split_evenly
 
-        from repro.engine.parallel import (
-            broken_pool_error,
-            fuzz_block,
-            make_executor,
-            split_evenly,
-            unpack_worker_payload,
-        )
-
-        executor = make_executor(jobs)
-        cases: list[FuzzCase] = []
-        shards = split_evenly(mutations, jobs)
-        with executor:
-            futures = [
-                executor.submit(
-                    fuzz_block,
-                    {
-                        "cases": shard,
-                        "service": self.service,
-                        "actuals": self.actuals,
-                        "seed": self.seed,
-                        "trials": self.trials,
-                        "deadline": self.deadline,
-                        "observe": obs.enabled(),
-                        "dispatched_at": time.time(),
-                    },
-                )
-                for shard in shards
-            ]
-            collected = 0
-            try:
-                for future in futures:
-                    cases.extend(unpack_worker_payload(future.result()))
-                    collected += 1
-            except BrokenProcessPool as exc:
-                affected = [
-                    index
-                    for shard in shards[collected:]
-                    for index, _ in shard
-                ]
-                raise broken_pool_error(
-                    "fuzz campaign", affected, exc
-                ) from exc
-        return sorted(cases, key=lambda case: case.index)
+        tasks = [
+            ([index for index, _ in shard], {
+                "cases": shard,
+                "service": self.service,
+                "actuals": self.actuals,
+                "seed": self.seed,
+                "trials": self.trials,
+                "deadline": self.deadline,
+            })
+            for shard in split_evenly(mutations, jobs)
+        ]
+        blocks = fan_out(fuzz_block, tasks, jobs=jobs, what="fuzz campaign")
+        return [case for block in blocks for case in block]

@@ -31,12 +31,10 @@ for every scenario in the repository.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from repro import observability as obs
 from repro.errors import EvaluationError, ModelError
 from repro.model.assembly import Assembly
 from repro.model.flow import END, START
@@ -210,11 +208,13 @@ class MonteCarloSimulator:
         """Estimate ``Pfail(service, actuals)`` over ``trials`` invocations.
 
         With ``jobs > 1`` the trials are split into near-equal blocks and
-        run on a process pool, each block with an independent child stream
-        spawned from this simulator's seed (``SeedSequence.spawn``), so an
-        estimate is reproducible for a given ``(seed, jobs)`` pair.  The
-        trial cap is charged once here, in the parent; workers enforce
-        only the remaining deadline.
+        run on a process pool (:func:`~repro.engine.parallel.fan_out`),
+        each block with an independent child stream spawned from this
+        simulator's seed (``SeedSequence.spawn``), so an estimate is
+        reproducible for a given ``(seed, jobs)`` pair.  The trial cap is
+        charged once here, in the parent; workers enforce only the
+        remaining deadline.  A dead worker raises
+        :class:`~repro.errors.WorkerCrashedError` naming the lost blocks.
         """
         from repro.engine.parallel import resolve_jobs
 
@@ -240,59 +240,31 @@ class MonteCarloSimulator:
     def _estimate_parallel(
         self, service: str | Service, trials: int, jobs: int, actuals: dict
     ) -> SimulationResult:
-        from concurrent.futures.process import BrokenProcessPool
-
         from repro.engine.fingerprint import canonical_json
-        from repro.engine.parallel import (
-            WorkerFailure,
-            broken_pool_error,
-            make_executor,
-            rebuild_error,
-            remaining_deadline,
-            simulate_block,
-            unpack_worker_payload,
-        )
+        from repro.engine.parallel import fan_out, simulate_block
 
         name = service.name if isinstance(service, Service) else str(service)
         blocks = min(jobs, trials)
         base, extra = divmod(trials, blocks)
-        sizes = [base + (1 if i < extra else 0) for i in range(blocks)]
         seeds = np.random.SeedSequence(self._seed).spawn(blocks)
         assembly_json = canonical_json(self.assembly)
-        executor = make_executor(jobs)
-        total_trials = total_failures = 0
-        with executor:
-            futures = [
-                executor.submit(
-                    simulate_block,
-                    {
-                        "assembly_json": assembly_json,
-                        "service": name,
-                        "actuals": dict(actuals),
-                        "trials": size,
-                        "seed": seed,
-                        "deadline": remaining_deadline(self.budget),
-                        "observe": obs.enabled(),
-                        "dispatched_at": time.time(),
-                    },
-                )
-                for size, seed in zip(sizes, seeds)
-            ]
-            try:
-                for block, future in enumerate(futures):
-                    outcome = unpack_worker_payload(future.result())
-                    if isinstance(outcome, WorkerFailure):
-                        raise rebuild_error(outcome)
-                    block_trials, block_failures = outcome
-                    total_trials += block_trials
-                    total_failures += block_failures
-            except BrokenProcessPool as exc:
-                raise broken_pool_error(
-                    "Monte Carlo trial blocks",
-                    range(block, len(futures)),
-                    exc,
-                ) from exc
-        return SimulationResult(total_trials, total_failures)
+        tasks = [
+            ([block], {
+                "assembly_json": assembly_json,
+                "service": name,
+                "actuals": dict(actuals),
+                "trials": base + (1 if block < extra else 0),
+                "seed": seed,
+            })
+            for block, seed in enumerate(seeds)
+        ]
+        outcomes = fan_out(
+            simulate_block, tasks, jobs=jobs,
+            what="Monte Carlo trial blocks", budget=self.budget,
+        )
+        return SimulationResult(
+            sum(t for t, _ in outcomes), sum(f for _, f in outcomes)
+        )
 
     def compile(self, service: str | Service, **actuals: float):
         """Compile the invocation of ``service`` with ``actuals`` into a

@@ -20,7 +20,8 @@ from __future__ import annotations
 
 import math
 
-from repro.errors import EvaluationError, ReproError
+from repro.engine.parallel import WorkerFailure, rebuild_error
+from repro.errors import EvaluationError
 
 from repro.workunits.supervisor import CampaignReport, Supervisor
 from repro.workunits.units import Campaign
@@ -80,24 +81,6 @@ def assemble_sweep(campaign: Campaign, report: CampaignReport):
     )
 
 
-def _rebuild_error(name: str, message: str) -> ReproError:
-    """A raisable typed error from a journaled ``(class name, message)``.
-
-    Classes with non-trivial constructors fall back to
-    :class:`EvaluationError` — the message still carries the original
-    class name, and isinstance-based exit codes stay in the right family.
-    """
-    from repro import errors as errors_module
-
-    cls = getattr(errors_module, name, None)
-    if isinstance(cls, type) and issubclass(cls, ReproError):
-        try:
-            return cls(message)
-        except TypeError:
-            pass
-    return EvaluationError(f"{name}: {message}" if name else message)
-
-
 def assemble_batch(campaign: Campaign, report: CampaignReport) -> list:
     """Ordered :class:`~repro.engine.batch.BatchEntry` rows from batch units.
 
@@ -142,10 +125,10 @@ def assemble_batch(campaign: Campaign, report: CampaignReport) -> list:
             else:
                 entries.append(BatchEntry(
                     index, label, service, actuals,
-                    error=_rebuild_error(
+                    error=rebuild_error(WorkerFailure(
                         str(record.get("error", "")),
                         str(record.get("message", "")),
-                    ),
+                    )),
                 ))
     entries.sort(key=lambda entry: entry.index)
     return entries

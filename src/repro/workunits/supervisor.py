@@ -486,9 +486,9 @@ class Supervisor:
     def _make_pool(self):
         """A sacrificial process pool — even ``jobs=1`` gets one, because
         isolation (not parallelism) is what the supervisor needs."""
-        from concurrent.futures import ProcessPoolExecutor
+        from repro.engine.parallel import process_pool
 
-        return ProcessPoolExecutor(max_workers=self.jobs)
+        return process_pool(self.jobs)
 
     def _await_some(self, ready, inflight):
         """Block until a future resolves, a timeout nears, or a retry matures."""

@@ -24,16 +24,13 @@ from __future__ import annotations
 
 import time
 
-from repro.engine.parallel import (
-    _begin_worker_observation,
-    _ship_worker_observation,
-    worker_budget,
-)
+from repro.engine.parallel import observed_worker, worker_budget
 from repro.errors import ReproError, format_error_chain
 
 __all__ = ["execute_unit", "validate_payload"]
 
 
+@observed_worker
 def execute_unit(payload: dict) -> dict:
     """Execute one work unit; returns an outcome dict (never raises
     :class:`~repro.errors.ReproError`).
@@ -44,7 +41,6 @@ def execute_unit(payload: dict) -> dict:
     :class:`~repro.robustness.chaos.ChaosPolicy`), plus the standard
     ``observe``/``dispatched_at`` observability keys.
     """
-    owned = _begin_worker_observation(payload)
     unit = payload["unit"]
     attempt = int(payload.get("attempt", 1))
     chaos = payload.get("chaos")
@@ -60,7 +56,7 @@ def execute_unit(payload: dict) -> dict:
     outcome["elapsed"] = time.perf_counter() - started
     if chaos is not None:
         outcome = chaos.corrupt_outcome(unit["index"], attempt, outcome)
-    return _ship_worker_observation(outcome, owned)
+    return outcome
 
 
 # ---------------------------------------------------------------------------
@@ -69,80 +65,53 @@ def execute_unit(payload: dict) -> dict:
 
 
 def _execute_sweep(unit: dict, budget) -> list[float]:
+    from repro.analysis.sweep import sweep_parameter
     from repro.dsl import load_assembly
 
     config = unit["config"]
-    values = [float(v) for v in unit["payload"]["values"]]
-    assembly = load_assembly(unit["payload"]["assembly_json"])
-    if config["method"] == "numeric":
-        from repro.core.evaluator import ReliabilityEvaluator
-
-        evaluator = ReliabilityEvaluator(
-            assembly, validate=False, check_domains=False, budget=budget,
-            solver=config["solver"],
-            incremental=bool(config.get("incremental", False)),
-        )
-        fixed = config["fixed"]
-        parameter = config["parameter"]
-        return [
-            float(evaluator.pfail(
-                config["service"], **{**fixed, parameter: v}
-            ))
-            for v in values
-        ]
-    from repro.engine.plan import compile_plan
-
-    plan = compile_plan(
-        assembly, config["service"], backend="symbolic", budget=budget
+    result = sweep_parameter(
+        load_assembly(unit["payload"]["assembly_json"]),
+        config["service"],
+        config["parameter"],
+        [float(v) for v in unit["payload"]["values"]],
+        config["fixed"],
+        method=config["method"],
+        budget=budget,
+        solver=config["solver"],
+        incremental=bool(config.get("incremental", False)),
     )
-    grid = plan.pfail_grid(
-        config["parameter"], values, config["fixed"], budget=budget
-    )
-    return [float(v) for v in grid]
+    return [float(v) for v in result.pfail]
 
 
 def _execute_batch(unit: dict, budget) -> list[dict]:
     from repro.dsl import load_assembly
-    from repro.engine.plan import compile_plan
+    from repro.engine import BatchEngine, PlanCache
 
     config = unit["config"]
     assembly = load_assembly(unit["payload"]["assembly_json"])
-    plan = compile_plan(
-        assembly, config["service"], budget=budget, solver=config["solver"],
-        incremental=bool(config.get("incremental", False)),
-    )
+    options = {
+        "solver": config["solver"],
+        "incremental": bool(config.get("incremental", False)),
+    }
+    cache = PlanCache()
+    # a model that does not compile fails the whole unit (retried, then
+    # quarantined); only per-point errors become error entries
+    cache.get_or_compile(assembly, config["service"], budget=budget, **options)
     unit_entries = unit["payload"]["entries"]
-    if plan.backend == "symbolic" and len(unit_entries) > 1:
-        # one stacked kernel call for the whole unit (bitwise-identical
-        # to the loop); any error falls back so isolation stays per-point
-        try:
-            stacked = plan.pfail_stack(
-                [entry["actuals"] for entry in unit_entries], budget=budget
-            )
-        except ReproError:
-            pass
-        else:
-            return [
-                {
-                    "request_index": int(entry["request_index"]),
-                    "pfail": float(stacked[i]),
-                    "backend": plan.backend,
-                }
-                for i, entry in enumerate(unit_entries)
-            ]
-    entries: list[dict] = []
-    for entry in unit_entries:
+    result = BatchEngine(jobs=1, cache=cache, budget=budget, **options).evaluate(
+        assembly, config["service"], [entry["actuals"] for entry in unit_entries]
+    )
+    records: list[dict] = []
+    for entry, outcome in zip(unit_entries, result.entries):
         record = {"request_index": int(entry["request_index"])}
-        try:
-            record["pfail"] = float(plan.pfail(entry["actuals"], budget=budget))
-            record["backend"] = plan.backend
-        except ReproError as exc:
-            # per-point isolation, as in BatchEngine: a bad point is a
-            # typed error entry, not a failed unit
-            record["error"] = type(exc).__name__
-            record["message"] = format_error_chain(exc)
-        entries.append(record)
-    return entries
+        if outcome.ok:
+            record["pfail"] = outcome.pfail
+            record["backend"] = outcome.backend
+        else:
+            record["error"] = type(outcome.error).__name__
+            record["message"] = format_error_chain(outcome.error)
+        records.append(record)
+    return records
 
 
 def _execute_fuzz(unit: dict, budget) -> list[dict]:

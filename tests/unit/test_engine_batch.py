@@ -230,6 +230,49 @@ class TestBudget:
         # an unbudgeted call is unlimited, not bound by the expired deadline
         assert 0.0 <= plan.pfail({"size": 4.0}) <= 1.0
 
+    def test_threads_sharing_a_plan_keep_their_own_budgets(self, monkeypatch):
+        import threading
+
+        from repro.engine import compile_plan
+        from repro.runtime.robust import RobustEvaluator
+
+        plan = compile_plan(recursive_assembly(), "A")
+        assert plan.backend == "robust"
+        expected = plan.pfail({"size": 4.0})
+        original = RobustEvaluator.evaluate
+        inside, other_done = threading.Event(), threading.Event()
+
+        def evaluate(evaluator, service, **actuals):
+            if threading.current_thread().name == "unbudgeted":
+                # hold this call after its budget is set, until the
+                # budgeted call on the other thread has run
+                inside.set()
+                assert other_done.wait(timeout=30)
+            return original(evaluator, service, **actuals)
+
+        monkeypatch.setattr(RobustEvaluator, "evaluate", evaluate)
+        outcome = {}
+
+        def unbudgeted():
+            try:
+                outcome["pfail"] = plan.pfail({"size": 4.0})
+            except ReproError as exc:  # pragma: no cover - the regression
+                outcome["error"] = exc
+
+        thread = threading.Thread(target=unbudgeted, name="unbudgeted")
+        thread.start()
+        assert inside.wait(timeout=30)
+        # too few sweeps and trials for any tier: this call must fail ...
+        with pytest.raises(ReproError):
+            plan.pfail(
+                {"size": 4.0},
+                budget=EvaluationBudget(max_sweeps=1, max_trials=1),
+            )
+        other_done.set()
+        thread.join(timeout=30)
+        # ... without the paused unbudgeted call inheriting its budget
+        assert outcome == {"pfail": expected}
+
 
 class TestParallel:
     def test_process_pool_matches_serial_exactly(self):

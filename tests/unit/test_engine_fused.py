@@ -15,13 +15,16 @@ Covers the contracts the fused executor adds on top of the batch engine:
 - the process pool that serves what fusion leaves (robust groups):
   bitwise parity with serial, per-entry error isolation, and a typed
   :class:`~repro.errors.WorkerCrashedError` naming exactly the unserved
-  entries when a worker is SIGKILLed mid-batch;
+  entries when a worker is SIGKILLed mid-batch — and the lost grid
+  points, trial blocks and fuzz cases on the other fan-outs; pool
+  workers run one BLAS thread;
 - the removed ``fused``/``compile`` options end to end: the CLI flags
   exit 2, the server request schemas reject the fields, ``/v1/cache-stats``
   keeps its ``engine.fused`` block, and campaign ids stay pinned so
   journals written while the options existed keep resuming.
 """
 
+import ctypes
 import multiprocessing
 import os
 import signal
@@ -29,17 +32,23 @@ import signal
 import numpy as np
 import pytest
 
+import repro.robustness.harness as harness_module
+from repro.analysis.sweep import sweep_parameter
+from repro.core.evaluator import ReliabilityEvaluator
 from repro.engine import (
     BatchEngine,
     BatchRequest,
     PlanCache,
     fused_counts,
+    make_executor,
     reset_fused_counts,
 )
 from repro.engine.plan import EvaluationPlan, compile_plan
 from repro.errors import BudgetExceededError, ReproError, WorkerCrashedError
+from repro.robustness.harness import FuzzHarness
 from repro.runtime.budget import EvaluationBudget
 from repro.scenarios import local_assembly, recursive_assembly
+from repro.simulation.engine import MonteCarloSimulator
 
 
 # ---------------------------------------------------------------------------
@@ -170,6 +179,31 @@ def _kill_self():  # pragma: no cover - dies by design
     os.kill(os.getpid(), signal.SIGKILL)
 
 
+def _blas_threads() -> list[int]:
+    """The thread count each OpenBLAS library mapped into this process
+    reports (empty without OpenBLAS)."""
+    with open("/proc/self/maps") as maps:
+        paths = {
+            line.split()[-1] for line in maps
+            if "openblas" in line.lower() and ".so" in line
+        }
+    counts = []
+    for path in sorted(paths):
+        library = ctypes.CDLL(path)
+        for symbol in (
+            "scipy_openblas_get_num_threads64_",
+            "scipy_openblas_get_num_threads",
+            "openblas_get_num_threads64_",
+            "openblas_get_num_threads",
+        ):
+            getter = getattr(library, symbol, None)
+            if getter is not None:
+                getter.restype = ctypes.c_int
+                counts.append(int(getter()))
+                break
+    return counts
+
+
 #: A robust point no real batch uses; the patched ``pfail`` dies on it.
 SENTINEL_SIZE = 7777.0
 
@@ -242,6 +276,61 @@ class TestProcessPool:
             engine.run(requests)
         assert excinfo.value.indices == (2, 3, 4, 5)
         assert "affected entry indices: [2, 3, 4, 5]" in str(excinfo.value)
+
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="the patched worker code reaches workers only through fork",
+    )
+    @pytest.mark.parametrize(
+        "path, target, expected",
+        [
+            # grid points of a numeric sweep
+            ("sweep", (ReliabilityEvaluator, "pfail"), tuple(range(6))),
+            # trial blocks of a Monte Carlo estimate
+            ("simulate", (MonteCarloSimulator, "compile"), (0, 1)),
+            # case indices of a fuzz run
+            ("fuzz", (harness_module, "run_fuzz_case"), tuple(range(6))),
+        ],
+    )
+    def test_sigkilled_workers_name_every_lost_index(
+        self, monkeypatch, local, path, target, expected
+    ):
+        # every worker dies on its first item, so nothing is collected
+        monkeypatch.setattr(*target, lambda *args, **kwargs: _kill_self())
+        fixed = {"elem": 1.0, "res": 1.0}
+        runs = {
+            "sweep": lambda: sweep_parameter(
+                local, "search", "list", np.linspace(100.0, 600.0, 6), fixed,
+                method="numeric", jobs=2,
+            ),
+            "simulate": lambda: MonteCarloSimulator(local, seed=1).estimate_pfail(
+                "search", 100, jobs=2, list=500.0, **fixed
+            ),
+            "fuzz": lambda: FuzzHarness(local, seed=0, trials=50).run(
+                count=6, jobs=2
+            ),
+        }
+        with pytest.raises(WorkerCrashedError) as excinfo:
+            runs[path]()
+        assert excinfo.value.indices == expected
+
+    @pytest.mark.parametrize("pool", ["make_executor", "supervisor"])
+    def test_pool_workers_run_one_blas_thread(self, pool):
+        if not _blas_threads():
+            pytest.skip("no OpenBLAS library loaded")
+        if pool == "make_executor":
+            executor = make_executor(2)
+        else:
+            from repro.workunits import Supervisor, sweep_campaign
+
+            campaign = sweep_campaign(
+                local_assembly(), "search", "list", [100.0],
+                {"elem": 1.0, "res": 1.0},
+            )
+            executor = Supervisor(campaign, jobs=1)._make_pool()
+        with executor:
+            counts = executor.submit(_blas_threads).result()
+        assert counts and set(counts) == {1}
 
 
 # ---------------------------------------------------------------------------
